@@ -26,9 +26,7 @@
 //! injecting a write-after-release) so CI can prove the analyzer actually
 //! rejects bad artifacts rather than vacuously passing good ones.
 
-use plim::{Operand, OutputLoc, RamAddr};
-use plim_compiler::alloc::RramAllocator;
-use plim_compiler::ir::{Event, IrProgram, Value};
+use plim::{Operand, OutputLoc};
 use plim_compiler::json::Value as Json;
 use plim_compiler::{Compilation, OptLevel, Rm3Program};
 
@@ -38,66 +36,13 @@ pub use plim_compiler::ir::analysis::{
 
 pub mod doctor;
 
-/// Resources re-derived from the event stream alone, by replaying it
-/// through a fresh allocator of the program's strategy — no numbers are
-/// taken from the emitter or from [`Rm3Stats`](plim_compiler::Rm3Stats).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Certificate {
-    /// Instruction count (`#I`): one per [`Event::Op`].
-    pub instructions: usize,
-    /// Work-cell count (`#R`): the highest physical address any replayed
-    /// instruction touches, plus one.
-    pub rams: u32,
-    /// The largest per-cell destination-write count.
-    pub max_cell_writes: u64,
-    /// Destination writes per physical cell, indexed by address.
-    pub write_counts: Vec<u64>,
-}
-
-/// Replays `ir.events` through a fresh [`RramAllocator`] and returns the
-/// re-derived resource profile.
-///
-/// Returns `None` if the stream is malformed (a release before a request,
-/// an op touching a cell outside its lifetime, an unknown cell or op) —
-/// exactly the streams on which [`analyze_events`] reports structural
-/// errors, so a `None` here never goes unexplained.
-pub fn certify(ir: &IrProgram) -> Option<Certificate> {
-    let mut alloc = RramAllocator::new(ir.allocator);
-    let mut addr: Vec<Option<RamAddr>> = vec![None; ir.cells.len()];
-    let mut instructions = 0usize;
-    let mut rams = 0u32;
-    for &event in &ir.events {
-        match event {
-            Event::Request(c) => {
-                let hint = ir.cells.get(c.index())?.hint;
-                *addr.get_mut(c.index())? = Some(alloc.request_with_hint(hint));
-            }
-            Event::Release(c) => {
-                let a = addr.get_mut(c.index())?.take()?;
-                alloc.release(a);
-            }
-            Event::Op(i) => {
-                let op = ir.ops.get(i as usize)?;
-                let z = (*addr.get(op.z.index())?)?;
-                instructions += 1;
-                alloc.note_write(z);
-                rams = rams.max(z.0 + 1);
-                for value in [op.a, op.b] {
-                    if let Value::Cell(c) = value {
-                        let a = (*addr.get(c.index())?)?;
-                        rams = rams.max(a.0 + 1);
-                    }
-                }
-            }
-        }
-    }
-    Some(Certificate {
-        instructions,
-        rams,
-        max_cell_writes: alloc.max_writes(),
-        write_counts: alloc.write_counts().to_vec(),
-    })
-}
+/// Resource certification: [`certify`] re-derives `#I`, `#R` and the
+/// per-cell wear profile (a [`Certificate`]) from the event stream alone,
+/// by replaying it through a fresh allocator of the program's strategy —
+/// no numbers are taken from the emitter or from
+/// [`Rm3Stats`](plim_compiler::Rm3Stats). It returns `None` exactly on the
+/// malformed streams [`analyze_events`] reports structural errors on.
+pub use plim_compiler::ir::{replay as certify, Replay as Certificate};
 
 /// Compares a [`Certificate`] against the emitted artifact, reporting
 /// every disagreement as a `PA0008` diagnostic: `#I`, `#R`, and

@@ -207,6 +207,11 @@ impl RramAllocator {
         &self.writes
     }
 
+    /// Consumes the allocator, returning its per-cell write counts.
+    pub fn into_write_counts(self) -> Vec<u64> {
+        self.writes
+    }
+
     /// The highest per-cell write count recorded so far (0 for an empty
     /// program) — the endurance-limiting cell's wear.
     pub fn max_writes(&self) -> u64 {

@@ -150,7 +150,7 @@ pub trait Backend: Sync {
 
 /// The built-in reference backend: the paper's ReRAM RM3 target.
 ///
-/// Delegates to [`crate::ir::emit`] and the allocator-replay metrics the
+/// Delegates to [`crate::ir::emit`] and the [`crate::ir::replay`] metrics the
 /// pass pipeline always used, so compiling through the trait is
 /// byte-identical to the pre-trait compiler at every `-O` level.
 #[derive(Debug, Clone, Copy, Default)]
@@ -177,12 +177,12 @@ impl Backend for Rm3Backend {
     }
 
     fn cost(&self, ir: &IrProgram) -> Cost {
-        let (instructions, footprint, wear) = crate::ir::replay_metrics(ir);
+        let replay = crate::ir::replay(ir).expect("scored a malformed event stream");
         Cost {
-            instructions,
-            footprint,
-            wear,
-            units: instructions as u64,
+            instructions: replay.instructions,
+            footprint: replay.rams,
+            wear: replay.max_cell_writes,
+            units: replay.instructions as u64,
         }
     }
 

@@ -191,11 +191,11 @@ fn job_lint_clean(compilation: &Compilation, opt: OptLevel) -> bool {
         return false;
     }
     let stats = &compilation.compiled.stats;
-    let (instructions, rams, max_writes) = crate::ir::replay_metrics(&compilation.ir);
-    instructions == stats.instructions
-        && rams == stats.rams
-        && max_writes == stats.max_cell_writes
-        && crate::verify::check_init_discipline(&compilation.compiled).is_ok()
+    crate::ir::replay(&compilation.ir).is_some_and(|replay| {
+        replay.instructions == stats.instructions
+            && replay.rams == stats.rams
+            && replay.max_cell_writes == stats.max_cell_writes
+    }) && crate::verify::check_init_discipline(&compilation.compiled).is_ok()
 }
 
 /// One distinct rewrite pass executed by a batch.

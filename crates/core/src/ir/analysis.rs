@@ -3,8 +3,20 @@
 //! One linear pass over [`IrProgram::events`] tracks a per-cell abstract
 //! state — uninitialized / live / released / cached-complement — and turns
 //! every violation of the machine's cell discipline into a numbered
-//! [`Lint`] diagnostic instead of a hard error. The same state machine
-//! backs three consumers:
+//! [`Lint`] diagnostic instead of a hard error.
+//!
+//! The pass is linear in events. The one non-local rule, stale-complement
+//! detection (`PA0005`), goes through a reverse index from each source cell
+//! to the cells caching its complement, so a write visits only its own
+//! destination's dependents. The index's invariant: every cell holding a
+//! not-yet-stale complement of a known source `s` is linked in `s`'s chain.
+//! Links are never removed eagerly; a walk drops every link whose record
+//! was superseded or has just gone stale. Only a link whose record caches
+//! a complement for another node survives a walk, and compiled streams
+//! have few: full-scale `mem_ctrl` at `-O0` visits 851 links in 83,717
+//! events.
+//!
+//! The same state machine backs three consumers:
 //!
 //! * [`passes::PassManager`](super::passes::PassManager) runs it after
 //!   every pass as a translation-validation hook, wholesale-reverting any
@@ -255,6 +267,64 @@ struct Complement {
     stale: bool,
 }
 
+/// Sentinel of an empty [`Dependents`] chain.
+const NIL: u32 = u32::MAX;
+
+/// Reverse index of cached complements: for every source cell, a chain of
+/// the cells whose complement record was built from it. All chains share
+/// one flat link pool; see the module docs for the invariant.
+struct Dependents {
+    /// First link of each source cell's chain, [`NIL`] when empty.
+    head: Vec<u32>,
+    /// `(dependent cell, next link)` pairs.
+    links: Vec<(CellId, u32)>,
+}
+
+impl Dependents {
+    fn new(cells: usize) -> Self {
+        Dependents {
+            head: vec![NIL; cells],
+            links: Vec::new(),
+        }
+    }
+
+    /// Records that `cell` now caches the complement of `source`. Sources
+    /// outside the program are never written, so they are not indexed.
+    fn link(&mut self, source: CellId, cell: CellId) {
+        if let Some(head) = self.head.get_mut(source.index()) {
+            self.links.push((cell, *head));
+            *head = (self.links.len() - 1) as u32;
+        }
+    }
+
+    /// A value-changing write to `z` under provenance `node`: marks stale
+    /// every complement of `z` cached for `node` (except `z`'s own record,
+    /// which the write just replaced) and unlinks it, together with every
+    /// link whose record no longer caches a live complement of `z`.
+    fn invalidate(&mut self, z: CellId, node: NodeId, complement: &mut [Option<Complement>]) {
+        let mut prev = NIL;
+        let mut link = self.head[z.index()];
+        while link != NIL {
+            let (cell, next) = self.links[link as usize];
+            let keep = match &mut complement[cell.index()] {
+                Some(entry) if cell != z && entry.source == z && !entry.stale => {
+                    entry.stale = entry.node == node;
+                    !entry.stale
+                }
+                _ => false,
+            };
+            if keep {
+                prev = link;
+            } else if prev == NIL {
+                self.head[z.index()] = next;
+            } else {
+                self.links[prev as usize].1 = next;
+            }
+            link = next;
+        }
+    }
+}
+
 /// Runs the analyzer over the event stream and returns every finding, in
 /// event order (end-of-program findings last).
 ///
@@ -266,6 +336,7 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
     let mut diags = Vec::new();
     let mut state = vec![CellState::Uninit; ir.cells.len()];
     let mut complement: Vec<Option<Complement>> = vec![None; ir.cells.len()];
+    let mut dependents = Dependents::new(ir.cells.len());
     // The constant a cell provably holds, fed by masking writes only. Used
     // to recognize the complement-materialization idiom (reset, then
     // `z ← ⟨1 s̄ z⟩` over the known-zero cell): a *main* RM3 can carry the
@@ -447,6 +518,7 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
                     let was_zero = known[op.z.index()] == Some(false);
                     complement[op.z.index()] = match (op.a, op.b, op.node) {
                         (Value::Const(true), Value::Cell(source), Some(node)) if was_zero => {
+                            dependents.link(source, op.z);
                             Some(Complement {
                                 source,
                                 node,
@@ -466,16 +538,7 @@ pub fn analyze_events(ir: &IrProgram, config: &AnalysisConfig) -> Vec<Diagnostic
                     // still consumed. Forwarding retargets carry the *new*
                     // node's provenance and so never trip this.
                     if let Some(node) = op.node {
-                        for (index, entry) in complement.iter_mut().enumerate() {
-                            if index == op.z.index() {
-                                continue;
-                            }
-                            if let Some(entry) = entry {
-                                if entry.source == op.z && entry.node == node {
-                                    entry.stale = true;
-                                }
-                            }
-                        }
+                        dependents.invalidate(op.z, node, &mut complement);
                     }
                 }
             }

@@ -16,6 +16,8 @@
 //! side and the emitter re-renders the `X<addr> ←` prefix from the replayed
 //! address.
 
+use std::fmt::Write as _;
+
 use plim::{Instruction, Operand, OutputLoc, Program, RamAddr};
 
 use crate::alloc::RramAllocator;
@@ -23,11 +25,32 @@ use crate::program::{Rm3Program, Rm3Stats};
 
 use super::{Event, IrOutput, IrProgram, Value};
 
-/// Replays only the allocator, returning `(#I, #R, max-cell-writes)`
-/// without building the program (no listing strings) — the quality gate
-/// the pass pipeline consults per trial edit, where full emission would
-/// dominate compile time.
-pub(crate) fn replay_metrics(ir: &IrProgram) -> (usize, u32, u64) {
+/// Resources re-derived from an event stream alone, by replaying it through
+/// a fresh allocator of the program's strategy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Replay {
+    /// Instruction count (`#I`): one per [`Event::Op`].
+    pub instructions: usize,
+    /// Work-cell count (`#R`): the highest physical address any replayed
+    /// instruction touches, plus one.
+    pub rams: u32,
+    /// The largest per-cell destination-write count.
+    pub max_cell_writes: u64,
+    /// Destination writes per physical cell, indexed by address.
+    pub write_counts: Vec<u64>,
+}
+
+/// Replays only the allocator, without building the program (no listing
+/// strings) — the RM3 cost model the pass pipeline consults per trial edit,
+/// where full emission would dominate compile time, and the independent
+/// resource certificate of `plim-analysis`.
+///
+/// Total: returns `None` if the stream is malformed (a release before a
+/// request, an op touching a cell outside its lifetime, an unknown cell or
+/// op) — exactly the streams on which
+/// [`analyze_events`](super::analysis::analyze_events) reports structural
+/// errors.
+pub fn replay(ir: &IrProgram) -> Option<Replay> {
     let mut alloc = RramAllocator::new(ir.allocator);
     let mut addr: Vec<Option<RamAddr>> = vec![None; ir.cells.len()];
     let mut instructions = 0usize;
@@ -35,28 +58,32 @@ pub(crate) fn replay_metrics(ir: &IrProgram) -> (usize, u32, u64) {
     for &event in &ir.events {
         match event {
             Event::Request(c) => {
-                addr[c.index()] = Some(alloc.request_with_hint(ir.cells[c.index()].hint));
+                let hint = ir.cells.get(c.index())?.hint;
+                addr[c.index()] = Some(alloc.request_with_hint(hint));
             }
-            Event::Release(c) => {
-                let a = addr[c.index()].take().expect("release before request");
-                alloc.release(a);
-            }
+            Event::Release(c) => alloc.release(addr.get_mut(c.index())?.take()?),
             Event::Op(i) => {
-                let op = &ir.ops[i as usize];
-                let z = addr[op.z.index()].expect("write outside cell lifetime");
+                let op = ir.ops.get(i as usize)?;
+                let z = (*addr.get(op.z.index())?)?;
                 instructions += 1;
                 alloc.note_write(z);
                 rams = rams.max(z.0 + 1);
                 for value in [op.a, op.b] {
                     if let Value::Cell(c) = value {
-                        let a = addr[c.index()].expect("read outside cell lifetime");
+                        let a = (*addr.get(c.index())?)?;
                         rams = rams.max(a.0 + 1);
                     }
                 }
             }
         }
     }
-    (instructions, rams, alloc.max_writes())
+    let max_cell_writes = alloc.max_writes();
+    Some(Replay {
+        instructions,
+        rams,
+        max_cell_writes,
+        write_counts: alloc.into_write_counts(),
+    })
 }
 
 /// Replays the IR into an executable program with its cost metrics.
@@ -94,7 +121,11 @@ pub fn emit(ir: &IrProgram) -> Rm3Program {
                 let z = addr[op.z.index()].expect("write outside cell lifetime");
                 let instruction = Instruction::new(operand(op.a, &addr), operand(op.b, &addr), z);
                 alloc.note_write(z);
-                program.push_commented(instruction, format!("X{} ← {}", z.0 + 1, op.rhs));
+                // Sized for the common `X1234 ← ¬N123456`, so rendering
+                // the comment allocates once.
+                let mut comment = String::with_capacity(24);
+                let _ = write!(comment, "X{} ← {}", z.0 + 1, op.rhs);
+                program.push_commented(instruction, comment);
             }
         }
     }

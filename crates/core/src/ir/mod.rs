@@ -13,9 +13,15 @@
 //! to rebuild the physical program — including the exact per-cell write
 //! counters the endurance model depends on.
 //!
-//! At `-O0` no pass runs and the replay reproduces the historical
-//! single-step translator byte for byte (listing and asm); that identity is
-//! pinned by golden files in `tests/ir_passes.rs`.
+//! At `-O0` no pass runs — the pass manager does not even take its entry
+//! lint counts or cost, so the middle end costs nothing — and the replay
+//! reproduces the historical single-step translator byte for byte (listing
+//! and asm); that identity is pinned by golden files in
+//! `tests/ir_passes.rs`.
+//!
+//! Ops are plain words ([`IrOp`] is `Copy`): the listing comment is an
+//! [`Rhs`] naming the source signal, rendered to text only by [`emit`] and
+//! [`IrProgram::dump`].
 //!
 //! The IR exists so that instruction-stream optimizations can see what no
 //! scheduler can: *physical* cell liveness. The lowering's reference counts
@@ -23,7 +29,7 @@
 //! touches the value cell itself — and the pass pipeline harvests exactly
 //! that slack.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use mig::NodeId;
 use plim::RamAddr;
@@ -36,8 +42,7 @@ mod emit;
 mod lower;
 pub mod passes;
 
-pub use emit::emit;
-pub(crate) use emit::replay_metrics;
+pub use emit::{emit, replay, Replay};
 pub use lower::lower;
 
 /// A virtual work cell: one allocator request/release lifetime.
@@ -80,8 +85,60 @@ impl Value {
     }
 }
 
+/// The right-hand side of an op's listing comment: the value the
+/// destination holds after the op, named after the source MIG.
+///
+/// It renders (via [`fmt::Display`]) as `0`/`1` for a constant, `i3`/`¬i3`
+/// for primary input 3 (1-based, like the listing's input operands) and
+/// `N46`/`¬N46` for MIG node 46. The emitter prefixes it with the replayed
+/// destination (`X<addr> ← <rhs>`), so comments stay correct when a pass
+/// retargets the destination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rhs {
+    /// A constant; a complemented constant edge is folded into the value.
+    Const(bool),
+    /// Primary input `index` (0-based), possibly complemented.
+    Input {
+        /// Input index.
+        index: u32,
+        /// Whether the comment names the input's complement.
+        complemented: bool,
+    },
+    /// MIG node `node`, possibly complemented.
+    Node {
+        /// The node.
+        node: NodeId,
+        /// Whether the comment names the node's complement.
+        complemented: bool,
+    },
+}
+
+impl fmt::Display for Rhs {
+    // Piecewise writes rather than `write!`: emission renders one comment
+    // per instruction, and a nested format string cost it ~15% of its time.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (complemented, prefix, number) = match *self {
+            Rhs::Const(value) => return f.write_str(if value { "1" } else { "0" }),
+            Rhs::Input {
+                index,
+                complemented,
+            } => (complemented, "i", index as usize + 1),
+            Rhs::Node { node, complemented } => (complemented, "N", node.index()),
+        };
+        if complemented {
+            f.write_str("¬")?;
+        }
+        f.write_str(prefix)?;
+        fmt::Display::fmt(&number, f)
+    }
+}
+
 /// One RM3-shaped IR op: `z ← ⟨a b̄ z⟩`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Plain words only — operands, destination, comment and provenance are
+/// all `Copy` — so cloning a program or logging an op for undo never
+/// touches the heap per op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IrOp {
     /// First operand (read plain).
     pub a: Value,
@@ -90,10 +147,8 @@ pub struct IrOp {
     /// Destination cell; its old value is the third majority input unless
     /// the op is [masking](IrOp::masking).
     pub z: CellId,
-    /// Right-hand side of the listing comment (`N46`, `¬i3`, `1`, …); the
-    /// emitter renders the full `X<addr> ← <rhs>` comment from it, so
-    /// comments stay correct when a pass retargets the destination.
-    pub rhs: String,
+    /// Right-hand side of the listing comment (`N46`, `¬i3`, `1`, …).
+    pub rhs: Rhs,
     /// The source-MIG node this op helps compute, when known (main ops
     /// carry their own node, materializations the node they copy or
     /// complement).

@@ -19,12 +19,16 @@
 //!   whose result is fully determined by resident constants is folded into
 //!   a plain set/reset, and back-to-back re-initializations collapse.
 //!
-//! `-O0` runs nothing, `-O1` one round of the linear hygiene passes,
-//! `-O2` adds forwarding and iterates the whole sequence to a fixpoint.
-//! After every pass that edited the stream the [`PassManager`] re-checks
-//! the IR structurally and — in debug/test builds — replays it through the
-//! machine-simulator equivalence check against the source MIG, so a broken
-//! pass fails loudly at the pass boundary, not in some downstream consumer.
+//! `-O0` runs nothing, not even the manager's entry checks; `-O1` runs one
+//! round of the linear hygiene passes; `-O2` adds forwarding and iterates
+//! the whole sequence to a fixpoint. After every pass that edited the
+//! stream the [`PassManager`] re-checks the IR structurally and — in
+//! debug/test builds — replays it through the machine-simulator
+//! equivalence check against the source MIG, so a broken pass fails loudly
+//! at the pass boundary, not in some downstream consumer. The entry state
+//! those checks compare against (lint counts and backend cost) is computed
+//! lazily, the first time a pass edits or trials an edit, so a pipeline in
+//! which nothing fires pays for neither.
 
 use std::fmt;
 
@@ -43,7 +47,12 @@ pub trait Pass {
     /// (removed or rewritten instructions). Passes that trial edits score
     /// them with `backend`'s cost model, so the pipeline optimizes for the
     /// architecture that will actually consume the stream.
-    fn run(&self, ir: &mut IrProgram, backend: &dyn Backend) -> usize;
+    ///
+    /// `cost` is the manager's cost of the stream as handed to the pass:
+    /// `Some` when already known, `None` when nothing has scored it yet. A
+    /// pass that needs it scores the unedited stream and stores the result
+    /// there; it never stores the cost of an edited stream.
+    fn run(&self, ir: &mut IrProgram, backend: &dyn Backend, cost: &mut Option<Cost>) -> usize;
 }
 
 /// One pass execution's accounting.
@@ -182,24 +191,29 @@ impl PassManager {
         let mut report = PassReport::default();
         // The current stream's cost, threaded across pass runs: each
         // editing pass pays exactly one scoring (for its after-state), and
-        // no-op runs pay none.
-        let mut current = backend.cost(ir);
+        // no-op runs pay none. Scored on first use, like `baseline`.
+        let mut current: Option<Cost> = None;
         // Translation validation: the analyzer's structural lint counts at
         // pipeline entry. A pass run that raises any count is reverted
         // wholesale, exactly like a quality-gate rejection — the analyzer
         // is the arbiter, the `check` panic below only a backstop for
-        // streams so broken the analyzer itself missed them.
+        // streams so broken the analyzer itself missed them. Every pass
+        // before the first editing one left the stream untouched, so the
+        // entry counts are those of that pass's snapshot.
         let structural = analysis::AnalysisConfig::structural();
-        let baseline = analysis::lint_counts(&analysis::analyze_events(ir, &structural));
+        let mut baseline: Option<[usize; analysis::LINT_COUNT]> = None;
         for _ in 0..self.rounds {
             let mut round_edits = 0;
             for pass in &self.passes {
                 let instructions_before = ir.num_instructions();
                 let snapshot = ir.clone();
-                let mut edits = pass.run(ir, backend);
+                let mut edits = pass.run(ir, backend, &mut current);
                 if edits > 0 {
+                    let entry = *baseline.get_or_insert_with(|| {
+                        analysis::lint_counts(&analysis::analyze_events(&snapshot, &structural))
+                    });
                     let after = analysis::lint_counts(&analysis::analyze_events(ir, &structural));
-                    if analysis::introduces(&baseline, &after) {
+                    if analysis::introduces(&entry, &after) {
                         *ir = snapshot;
                         report.runs.push(PassRun {
                             pass: pass.name(),
@@ -217,12 +231,13 @@ impl PassManager {
                     // replay makes footprint/wear global properties of the
                     // stream, so an edit that shifts reuse the wrong way is
                     // reverted wholesale rather than shipped.
+                    let before_cost = *current.get_or_insert_with(|| backend.cost(&snapshot));
                     let after_cost = backend.cost(ir);
-                    if after_cost.worse_than(current) {
+                    if after_cost.worse_than(before_cost) {
                         *ir = snapshot;
                         edits = 0;
                     } else {
-                        current = after_cost;
+                        current = Some(after_cost);
                         #[cfg(debug_assertions)]
                         if let Err(error) =
                             crate::verify::verify(mig, &super::emit(ir), 1, 0xDAC2016)
@@ -301,7 +316,7 @@ impl Pass for DeadWrite {
         "dead-write"
     }
 
-    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend) -> usize {
+    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend, _cost: &mut Option<Cost>) -> usize {
         let mut needed = vec![false; ir.cells.len()];
         for (_, output) in &ir.outputs {
             if let IrOutput::Cell(c) = output {
@@ -431,7 +446,7 @@ impl Pass for RedundantInit {
         "redundant-init"
     }
 
-    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend) -> usize {
+    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend, _cost: &mut Option<Cost>) -> usize {
         const_flow(ir, |_op, _result, resident| resident)
     }
 }
@@ -452,7 +467,7 @@ impl Pass for Peephole {
         "peephole"
     }
 
-    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend) -> usize {
+    fn run(&self, ir: &mut IrProgram, _backend: &dyn Backend, _cost: &mut Option<Cost>) -> usize {
         let mut edits = 0;
         const_flow(ir, |op, result, resident| {
             if resident {
@@ -499,14 +514,19 @@ impl Pass for Forward {
         "forward"
     }
 
-    fn run(&self, ir: &mut IrProgram, backend: &dyn Backend) -> usize {
+    fn run(&self, ir: &mut IrProgram, backend: &dyn Backend, cost: &mut Option<Cost>) -> usize {
+        if let Some(known) = *cost {
+            debug_assert_eq!(known, backend.cost(ir), "the manager's cost is stale");
+        }
         let mut edits = 0;
         // Edits rejected by the quality gate stay rejected: without the
         // memo every restart would re-trial (and re-score) them, turning
         // the pass quadratic on large circuits.
         let mut rejected: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-        let mut baseline = backend.cost(ir);
-        while forward_one(ir, backend, &mut rejected, &mut baseline) {
+        // The cost of the stream as edited so far; the manager's `cost`
+        // keeps describing the stream the pass started from.
+        let mut baseline = None;
+        while forward_one(ir, backend, &mut rejected, &mut baseline, cost) {
             edits += 1;
         }
         if edits > 0 {
@@ -623,15 +643,16 @@ enum Chain {
 /// Candidates in `rejected` (keyed by op index and claimed cell) were
 /// already turned down by the quality gate and are not re-trialed;
 /// `baseline` carries the current stream's cost across restarts and is
-/// updated when an edit commits.
+/// updated when an edit commits. Before the first commit it is taken from
+/// `entry`, the pass's entry cost, scoring the stream only if nobody has.
 fn forward_one(
     ir: &mut IrProgram,
     backend: &dyn Backend,
     rejected: &mut std::collections::HashSet<(u32, u32)>,
-    baseline: &mut Cost,
+    baseline: &mut Option<Cost>,
+    entry: &mut Option<Cost>,
 ) -> bool {
     let index = CellIndex::build(ir);
-    let before = *baseline;
     for pos in 0..ir.events.len() {
         let Event::Op(ki) = ir.events[pos] else {
             continue;
@@ -737,7 +758,9 @@ fn forward_one(
             // judge on the edited stream itself.
             // The edit is applied in place and undone on rejection — the
             // undo log is a handful of operand words, where cloning the
-            // whole program (listing strings included) dominated the pass.
+            // whole program dominated the pass.
+            let before =
+                *baseline.get_or_insert_with(|| *entry.get_or_insert_with(|| backend.cost(ir)));
             let undo = apply_forward(
                 ir,
                 &index,
@@ -759,7 +782,7 @@ fn forward_one(
             }
             let after = backend.cost(ir);
             if after.improves_on(before) {
-                *baseline = after;
+                *baseline = Some(after);
                 return true;
             }
             undo.revert(ir);
@@ -1004,4 +1027,80 @@ fn apply_forward(
     }
     ir.events = events;
     undo
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use mig::Mig;
+    use plim_benchmarks::suite::{self, Scale};
+
+    use super::*;
+    use crate::backend::{Artifact, InstructionInfo, Rm3Backend};
+    use crate::CompilerOptions;
+
+    /// The RM3 backend, counting how often the pipeline scores a stream.
+    #[derive(Debug, Default)]
+    struct Counting {
+        costs: AtomicUsize,
+    }
+
+    impl Backend for Counting {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn description(&self) -> &'static str {
+            "RM3 with a cost-call counter"
+        }
+
+        fn instruction_set(&self) -> &'static [InstructionInfo] {
+            Rm3Backend.instruction_set()
+        }
+
+        fn cost(&self, ir: &IrProgram) -> Cost {
+            self.costs.fetch_add(1, Ordering::Relaxed);
+            Rm3Backend.cost(ir)
+        }
+
+        fn emit(&self, ir: &IrProgram) -> Box<dyn Artifact> {
+            Rm3Backend.emit(ir)
+        }
+    }
+
+    /// Runs `opt`'s pipeline on `mig`'s lowering, returning the total
+    /// edits, the number of cost calls, and whether the IR is unchanged.
+    fn run(mig: &Mig, opt: OptLevel) -> (usize, usize, bool) {
+        let mut ir = super::super::lower(mig, CompilerOptions::new());
+        let before = format!("{ir:?}");
+        let backend = Counting::default();
+        let report = PassManager::for_level(opt).run(&mut ir, mig, &backend);
+        let edits = report.runs.iter().map(|r| r.edits).sum();
+        (
+            edits,
+            backend.costs.into_inner(),
+            format!("{ir:?}") == before,
+        )
+    }
+
+    #[test]
+    fn o0_does_no_work_at_all() {
+        let mig = suite::build("adder", Scale::Reduced).expect("known circuit");
+        // Not vacuous: -O2 does edit (and so score) this circuit.
+        let (edits, costs, _) = run(&mig, OptLevel::O2);
+        assert!(edits > 0 && costs > 0);
+        assert_eq!(run(&mig, OptLevel::O0), (0, 0, true));
+    }
+
+    #[test]
+    fn pipelines_that_edit_nothing_never_score() {
+        let mut mig = Mig::new();
+        let [a, b, c] = [0, 1, 2].map(|i| mig.add_input(format!("x{i}")));
+        let f = mig.maj(a, b, c);
+        mig.add_output("f", f);
+        for opt in [OptLevel::O1, OptLevel::O2] {
+            assert_eq!(run(&mig, opt), (0, 0, true), "{opt:?}");
+        }
+    }
 }

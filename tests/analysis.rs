@@ -11,10 +11,12 @@ use proptest::prelude::*;
 
 use mig::NodeId;
 use plim::RamAddr;
-use plim_analysis::{analyze_artifact, analyze_events, certify, cross_check, AnalysisConfig, Lint};
+use plim_analysis::{
+    analyze_artifact, analyze_events, certify, cross_check, AnalysisConfig, Diagnostic, Lint,
+};
 use plim_benchmarks::random::{random_logic, RandomLogicSpec};
 use plim_benchmarks::suite::{self, Scale};
-use plim_compiler::ir::{CellId, Event, IrCell, IrOp, IrOutput, IrProgram, Value};
+use plim_compiler::ir::{CellId, Event, IrCell, IrOp, IrOutput, IrProgram, Rhs, Value};
 use plim_compiler::{
     compile_full, AllocatorStrategy, CompilerOptions, LifetimeClass, OptLevel, ScheduleOrder,
 };
@@ -139,7 +141,7 @@ fn reset(z: CellId) -> IrOp {
         a: Value::Const(false),
         b: Value::Const(true),
         z,
-        rhs: "0".to_string(),
+        rhs: Rhs::Const(false),
         node: None,
     }
 }
@@ -149,7 +151,10 @@ fn main_op(z: CellId, node: u32) -> IrOp {
         a: Value::Input(0),
         b: Value::Input(1),
         z,
-        rhs: format!("N{node}"),
+        rhs: Rhs::Node {
+            node: NodeId::from_index(node as usize),
+            complemented: false,
+        },
         node: Some(NodeId::from_index(node as usize)),
     }
 }
@@ -288,14 +293,20 @@ fn complement_program() -> IrProgram {
         a: Value::Const(true),
         b: Value::Cell(C0),
         z: C1,
-        rhs: "¬N3".to_string(),
+        rhs: Rhs::Node {
+            node: NodeId::from_index(3),
+            complemented: true,
+        },
         node: Some(NodeId::from_index(3)),
     };
     let consume = IrOp {
         a: Value::Cell(C1),
         b: Value::Input(0),
         z: C0,
-        rhs: "N4".to_string(),
+        rhs: Rhs::Node {
+            node: NodeId::from_index(4),
+            complemented: false,
+        },
         node: Some(NodeId::from_index(4)),
     };
     IrProgram {
@@ -413,4 +424,322 @@ fn doctored_write_after_release_fails_the_battery() {
         diags.iter().any(|d| d.lint == Lint::UseAfterRelease),
         "expected PA0002, got {diags:?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the analyzer's reverse complement index against the
+// all-cells staleness sweep it replaced.
+// ---------------------------------------------------------------------------
+
+/// The `PA0005` findings of the original analyzer, which on every
+/// value-changing write swept *every* cell's cached-complement record for
+/// ones built from the destination — O(ops × cells), kept here only as
+/// the oracle. The cell-state tracking mirrors the analyzer's exactly.
+/// Records are stored column-wise so the sweep vectorizes.
+fn stale_complement_oracle(ir: &IrProgram) -> Vec<Diagnostic> {
+    const NONE: u32 = u32::MAX;
+    let cells = ir.cells.len();
+    let mut live = vec![false; cells];
+    // Per cell: the complement record's source (`NONE` without a record),
+    // its node, and whether it went stale.
+    let mut source = vec![NONE; cells];
+    let mut node_of = vec![0u32; cells];
+    let mut stale = vec![false; cells];
+    let mut known: Vec<Option<bool>> = vec![None; cells];
+    let mut diags = Vec::new();
+    for (pos, &event) in ir.events.iter().enumerate() {
+        match event {
+            Event::Request(c) if c.index() < cells => {
+                live[c.index()] = false;
+                source[c.index()] = NONE;
+                known[c.index()] = None;
+            }
+            Event::Release(c) if c.index() < cells => live[c.index()] = false,
+            Event::Op(i) => {
+                let Some(op) = ir.ops.get(i as usize) else {
+                    continue;
+                };
+                for c in op.reads() {
+                    let i = c.index();
+                    if i < cells && live[i] && source[i] != NONE && stale[i] {
+                        diags.push(Diagnostic {
+                            lint: Lint::StaleComplement,
+                            event: Some(pos),
+                            cell: Some(c),
+                            node: op.node,
+                            message: format!(
+                                "event {pos}: op reads %{} caching ¬%{}, \
+                                 but %{} was recomputed since",
+                                c.0, source[i], source[i]
+                            ),
+                        });
+                    }
+                }
+                let z = op.z.index();
+                if z >= cells {
+                    continue;
+                }
+                live[z] = true;
+                if matches!((op.a, op.b), (Value::Const(x), Value::Const(y)) if x == y) {
+                    continue;
+                }
+                let was_zero = known[z] == Some(false);
+                source[z] = NONE;
+                if let (Value::Const(true), Value::Cell(s), Some(node)) = (op.a, op.b, op.node) {
+                    if was_zero {
+                        source[z] = s.0;
+                        node_of[z] = node.index() as u32;
+                        stale[z] = false;
+                    }
+                }
+                known[z] = match (op.a, op.b) {
+                    (Value::Const(x), Value::Const(y)) if x != y => Some(x),
+                    _ => None,
+                };
+                if let Some(node) = op.node {
+                    let (z32, node) = (op.z.0, node.index() as u32);
+                    let own = std::mem::replace(&mut stale[z], false);
+                    for ((stale, &s), &n) in stale.iter_mut().zip(&source).zip(&node_of) {
+                        *stale |= (s == z32) & (n == node);
+                    }
+                    stale[z] = own;
+                }
+            }
+            _ => {}
+        }
+    }
+    diags
+}
+
+/// Asserts `analyze_events` returns exactly the diagnostic vector it would
+/// with the oracle's `PA0005` findings, under `config`; returns the
+/// number of `PA0005` findings.
+fn assert_matches_oracle(ir: &IrProgram, config: &AnalysisConfig, context: &str) -> usize {
+    let actual = analyze_events(ir, config);
+    let oracle = stale_complement_oracle(ir);
+    let stale = oracle.len();
+    let mut expected: Vec<Diagnostic> = actual
+        .iter()
+        .filter(|d| d.lint != Lint::StaleComplement)
+        .cloned()
+        .chain(oracle)
+        .collect();
+    expected.sort_by_key(|d| (d.event.unwrap_or(usize::MAX), d.lint.ordinal()));
+    assert_eq!(actual, expected, "{context} under {config:?}");
+    stale
+}
+
+/// Every configuration a caller runs the analyzer under.
+fn all_configs() -> [AnalysisConfig; 4] {
+    [
+        structural(),
+        AnalysisConfig::for_level(OptLevel::O0),
+        AnalysisConfig::for_level(OptLevel::O1),
+        AnalysisConfig::for_level(OptLevel::O2),
+    ]
+}
+
+#[test]
+fn analyzer_matches_the_sweep_oracle_on_the_reduced_suite() {
+    for name in suite::ALL {
+        let mig = suite::build(name, Scale::Reduced).expect("known circuit");
+        let rewritten = mig::rewrite::rewrite(&mig, 2);
+        for opt in LEVELS {
+            let compilation = compile_full(&rewritten, CompilerOptions::new().opt(opt));
+            for config in [structural(), AnalysisConfig::for_level(opt)] {
+                assert_matches_oracle(&compilation.ir, &config, &format!("{name} {opt:?}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn analyzer_matches_the_sweep_oracle_at_full_scale() {
+    for name in ["div", "mem_ctrl"] {
+        let mig = suite::build(name, Scale::Full).expect("known circuit");
+        let ir = plim_compiler::ir::lower(&mig, CompilerOptions::new());
+        assert_matches_oracle(&ir, &structural(), name);
+    }
+}
+
+/// One step of a hand-written stream.
+enum Step {
+    Request(CellId),
+    Release(CellId),
+    Op(IrOp),
+}
+
+/// Builds a program over `cells` cells (pinned to distinct addresses) from
+/// `steps`, numbering ops in stream order.
+fn stream(cells: u32, steps: Vec<Step>) -> IrProgram {
+    let mut ops = Vec::new();
+    let mut events = Vec::new();
+    for step in steps {
+        events.push(match step {
+            Step::Request(c) => Event::Request(c),
+            Step::Release(c) => Event::Release(c),
+            Step::Op(op) => {
+                ops.push(op);
+                Event::Op(ops.len() as u32 - 1)
+            }
+        });
+    }
+    IrProgram {
+        num_inputs: 2,
+        ops,
+        cells: (0..cells).map(cell).collect(),
+        events,
+        outputs: Vec::new(),
+        mig_nodes: 0,
+        allocator: AllocatorStrategy::Fifo,
+    }
+}
+
+/// `z ← ⟨1 s̄ z⟩`: materializes ¬`source` into a reset `z` for `node`.
+fn complement_op(source: CellId, z: CellId, node: u32) -> Step {
+    Step::Op(IrOp {
+        a: Value::Const(true),
+        b: Value::Cell(source),
+        z,
+        rhs: Rhs::Node {
+            node: NodeId::from_index(node as usize),
+            complemented: true,
+        },
+        node: Some(NodeId::from_index(node as usize)),
+    })
+}
+
+/// `sink ← ⟨c i2̄ sink⟩` under node 9: reads `c` (and the sink).
+fn read(c: CellId, sink: CellId) -> Step {
+    Step::Op(IrOp {
+        a: Value::Cell(c),
+        b: Value::Input(1),
+        z: sink,
+        rhs: Rhs::Node {
+            node: NodeId::from_index(9),
+            complemented: false,
+        },
+        node: Some(NodeId::from_index(9)),
+    })
+}
+
+/// Requests `c`, resets it and computes `node` into it.
+fn define(c: CellId, node: u32) -> [Step; 3] {
+    [
+        Step::Request(c),
+        Step::Op(reset(c)),
+        Step::Op(main_op(c, node)),
+    ]
+}
+
+/// Requests `c` and resets it.
+fn fresh(c: CellId) -> [Step; 2] {
+    [Step::Request(c), Step::Op(reset(c))]
+}
+
+/// Checks a doctored stream against the oracle under every configuration,
+/// returning its `PA0005` count (equal under all of them).
+fn doctored_stale_count(ir: &IrProgram, context: &str) -> usize {
+    let counts = all_configs().map(|config| assert_matches_oracle(ir, &config, context));
+    assert!(
+        counts.iter().all(|&n| n == counts[0]),
+        "{context}: {counts:?}"
+    );
+    let reported = lints_of(ir, &structural())
+        .into_iter()
+        .filter(|&l| l == Lint::StaleComplement)
+        .count();
+    assert_eq!(reported, counts[0], "{context}");
+    counts[0]
+}
+
+const C2: CellId = CellId(2);
+const C3: CellId = CellId(3);
+const SINK: CellId = CellId(4);
+
+#[test]
+fn oracle_agrees_on_several_complements_of_one_source() {
+    let mut steps: Vec<Step> = fresh(SINK).into_iter().chain(define(C0, 3)).collect();
+    for (c, node) in [(C1, 3), (C2, 3), (C3, 5)] {
+        steps.extend(fresh(c));
+        steps.push(complement_op(C0, c, node));
+    }
+    // The same complement rebuilt into %1: two index entries, one record.
+    steps.push(Step::Op(reset(C1)));
+    steps.push(complement_op(C0, C1, 3));
+    steps.push(Step::Op(main_op(C0, 3)));
+    steps.extend([read(C1, SINK), read(C2, SINK), read(C3, SINK)]);
+    // ¬N3 in %1 and %2 went stale, ¬N5 in %3 did not.
+    assert_eq!(doctored_stale_count(&stream(5, steps), "several"), 2);
+}
+
+#[test]
+fn oracle_agrees_when_the_source_is_requested_again() {
+    let mut steps: Vec<Step> = fresh(SINK).into_iter().chain(define(C0, 3)).collect();
+    steps.extend(fresh(C1));
+    steps.push(complement_op(C0, C1, 3));
+    steps.push(Step::Release(C0));
+    steps.extend(define(C0, 3));
+    steps.push(read(C1, SINK));
+    assert_eq!(doctored_stale_count(&stream(5, steps), "source"), 1);
+}
+
+#[test]
+fn oracle_agrees_when_a_complement_cell_is_rebound() {
+    let mut steps: Vec<Step> = fresh(SINK)
+        .into_iter()
+        .chain(define(C0, 3))
+        .chain(define(C2, 7))
+        .chain(fresh(C1))
+        .collect();
+    steps.push(complement_op(C0, C1, 3));
+    steps.push(Step::Release(C1));
+    steps.extend(fresh(C1));
+    steps.push(complement_op(C2, C1, 7));
+    // %1 no longer caches ¬%0: recomputing N3 leaves it fresh…
+    steps.push(Step::Op(main_op(C0, 3)));
+    steps.push(read(C1, SINK));
+    // …while recomputing N7 into its new source does not.
+    steps.push(Step::Op(main_op(C2, 7)));
+    steps.push(read(C1, SINK));
+    let ir = stream(5, steps);
+    assert_eq!(doctored_stale_count(&ir, "rebound"), 1);
+    let stale = analyze_events(&ir, &structural())
+        .into_iter()
+        .find(|d| d.lint == Lint::StaleComplement)
+        .expect("one finding");
+    assert_eq!(stale.event, Some(ir.events.len() - 1));
+}
+
+#[test]
+fn oracle_agrees_on_recomputes_with_the_same_and_another_node() {
+    let mut steps: Vec<Step> = fresh(SINK).into_iter().chain(define(C0, 3)).collect();
+    steps.extend(fresh(C1));
+    steps.push(complement_op(C0, C1, 3));
+    // Another node's value overwrites %0: not a recompute of N3.
+    steps.push(Step::Op(main_op(C0, 4)));
+    steps.push(read(C1, SINK));
+    steps.push(Step::Op(main_op(C0, 3)));
+    steps.push(read(C1, SINK));
+    steps.push(read(C1, SINK));
+    assert_eq!(doctored_stale_count(&stream(5, steps), "recompute"), 2);
+}
+
+#[test]
+fn oracle_agrees_on_unknown_and_self_sources_without_panicking() {
+    const UNKNOWN: CellId = CellId(99);
+    let mut steps: Vec<Step> = fresh(SINK).into_iter().chain(fresh(C1)).collect();
+    steps.push(complement_op(UNKNOWN, C1, 3));
+    steps.push(Step::Request(UNKNOWN));
+    steps.push(Step::Op(main_op(UNKNOWN, 3)));
+    steps.push(read(C1, SINK));
+    steps.push(Step::Release(UNKNOWN));
+    // %0 caching its own complement: the write replaces the record.
+    steps.extend(fresh(C0));
+    steps.push(complement_op(C0, C0, 3));
+    steps.push(Step::Op(main_op(C0, 3)));
+    steps.push(read(C0, SINK));
+    let ir = stream(5, steps);
+    assert_eq!(doctored_stale_count(&ir, "unknown"), 0);
+    assert!(lints_of(&ir, &structural()).contains(&Lint::UseBeforeInit));
 }
