@@ -5,7 +5,7 @@
 //! is criterion-free so the workspace builds offline (`harness = false`);
 //! each measurement reports the best of `--iters` runs.
 //!
-//! Two headline measurements:
+//! Headline measurements:
 //!
 //! * **in-place vs rebuild rewriting** — the exact Algorithm 1 schedule run
 //!   by the reusable-arena engine (`mig::arena::RewriteArena`, the default
@@ -20,6 +20,9 @@
 //!   and per-circuit saturation statistics (e-nodes, iterations, and the
 //!   budget axis that stopped the run). The Σ row enforces the 10×
 //!   wall-clock acceptance bound.
+//! * **the `-O2` pass pipeline** — `PassManager::run` wall time per
+//!   circuit, its rounds and fixpoint status, and per pass the edits and
+//!   decision counters (trials, accepted, rejected, blocked, memo hits).
 //! * **serial vs batch** full-suite compilation: the exact Table 1 workload
 //!   (three compilations per circuit, one shared rewrite) run job-by-job on
 //!   one thread and fanned across cores by `plim_compiler::batch`. On a
@@ -220,6 +223,79 @@ fn bench_egraph(circuits: &[&str], scale: Scale, iters: usize, effort: usize) {
     println!();
 }
 
+/// The `-O2` pass pipeline on its own: the wall time of
+/// `PassManager::run` on each circuit's lowering (best of `iters`, one IR
+/// clone included), the rounds it took and whether it reached its
+/// fixpoint, then per pass the summed runs, edits and decision counters
+/// (`PassRun::decisions`) of one run.
+fn bench_o2_passes(circuits: &[&str], scale: Scale, iters: usize) {
+    use plim_compiler::ir::{self, passes::Decisions, passes::PassManager};
+    use plim_compiler::OptLevel;
+    println!("── -O2 pass pipeline: PassManager::run per circuit (effort 4, best of {iters}) ──");
+    println!(
+        "{:<11} {:>10} {:>6} {:>9} | {:<14} {:>4} {:>5} {:>6} {:>8} {:>8} {:>7} {:>9}",
+        "circuit",
+        "run",
+        "rounds",
+        "converged",
+        "pass",
+        "runs",
+        "edits",
+        "trials",
+        "accepted",
+        "rejected",
+        "blocked",
+        "memo hits"
+    );
+    let options = CompilerOptions::new().opt(OptLevel::O2);
+    let backend = options.target.backend();
+    let manager = PassManager::for_level(OptLevel::O2);
+    let mut total = Duration::ZERO;
+    for &name in circuits {
+        let mig = rewrite(&build(name, scale).unwrap(), 4);
+        let lowered = ir::lower(&mig, options);
+        let time = best_of(iters, || manager.run(&mut lowered.clone(), &mig, backend));
+        total += time;
+        let report = manager.run(&mut lowered.clone(), &mig, backend);
+        let rounds = report.runs.iter().filter(|r| r.pass == "forward").count();
+        let mut passes: Vec<&str> = Vec::new();
+        for run in &report.runs {
+            if !passes.contains(&run.pass) {
+                passes.push(run.pass);
+            }
+        }
+        for (line, pass) in passes.into_iter().enumerate() {
+            let mut runs = 0;
+            let mut edits = 0;
+            let mut decisions = Decisions::default();
+            for run in report.runs.iter().filter(|r| r.pass == pass) {
+                runs += 1;
+                edits += run.edits;
+                decisions += run.decisions;
+            }
+            let lead = if line == 0 {
+                format!(
+                    "{name:<11} {:>10} {rounds:>6} {:>9}",
+                    format!("{time:.1?}"),
+                    if report.converged { "yes" } else { "NO" }
+                )
+            } else {
+                format!("{:<11} {:>10} {:>6} {:>9}", "", "", "", "")
+            };
+            println!(
+                "{lead} | {pass:<14} {runs:>4} {edits:>5} {:>6} {:>8} {:>8} {:>7} {:>9}",
+                decisions.trials,
+                decisions.accepted,
+                decisions.rejected,
+                decisions.blocked,
+                decisions.memo_hits
+            );
+        }
+    }
+    println!("{:<11} {:>10}", "Σ", format!("{total:.1?}"));
+    println!();
+}
+
 fn bench_suite(scale: Scale, effort: usize, iters: usize) {
     let circuits = suite_circuits(scale);
     println!(
@@ -324,6 +400,7 @@ fn main() {
     bench_stages(stage_circuits, iters);
     bench_rewrite_engines(engine_circuits, scale, iters);
     bench_egraph(engine_circuits, scale, iters, 4);
+    bench_o2_passes(engine_circuits, scale, iters);
     bench_suite(scale, 4, iters);
     if let Some(path) = json {
         emit_bench_json(&path, scale);

@@ -8,6 +8,11 @@
 //! the trait path too — and a full schedule × allocator × opt-level matrix
 //! checks the trait emission against the direct compiler on every
 //! combination.
+//!
+//! The fingerprint goldens at the end pin the optimizing levels the same
+//! way on every target: FNV-1a hashes of the `-O1`/`-O2` IR dump and
+//! listing of each reduced suite circuit, plus an ignored full-scale `rm3`
+//! `-O2` variant that CI runs in release.
 
 use plim_backends::install;
 use plim_benchmarks::suite::{self, Scale};

@@ -199,3 +199,21 @@ fn ir_dump_lists_every_instruction_with_def_use() {
     assert!(dump.starts_with(".ir v1\n"));
     assert!(dump.contains(".output"));
 }
+
+/// Every reduced suite circuit reaches the `-O2` fixpoint — a round that
+/// edits nothing — before the round limit, so no reduced output is shaped
+/// by where the limit sits; `-O0` and `-O1` report convergence trivially.
+#[test]
+fn every_reduced_circuit_converges_at_o2() {
+    for name in suite::ALL {
+        let mig = suite::build(name, Scale::Reduced).expect("suite circuit");
+        let optimized = mig::rewrite::rewrite(&mig, 4);
+        for opt in OptLevel::ALL {
+            let compilation = compile_full(&optimized, CompilerOptions::new().opt(opt));
+            assert!(
+                compilation.report.converged,
+                "{name}: -{opt:?} stopped at the round limit while still editing"
+            );
+        }
+    }
+}
