@@ -874,8 +874,11 @@ struct Sweep<'a> {
     relocated: Vec<(usize, u32)>,
     /// Old positions of every event leaving its place.
     leaving: Vec<usize>,
-    /// Generation-stamped marks (`== stamp` means set) and per-cell block
-    /// entries, so no scratch set is ever cleared.
+    /// Generation-stamped marks (`== stamp` means set), so no scratch set
+    /// is ever cleared: the move closure's written and read cells and
+    /// joined ops, reused by [`Sweep::apply`] (cells) and
+    /// [`Sweep::commit`] (ops) under fresh stamps; `last_entry` is each
+    /// block cell's last block entry.
     stamp: u32,
     def_mark: Vec<u32>,
     read_mark: Vec<u32>,
