@@ -19,7 +19,9 @@
 //!   against the plain arena stage, with compiled `#I` at -O2 for both
 //!   and per-circuit saturation statistics (e-nodes, iterations, and the
 //!   budget axis that stopped the run). The Σ row enforces the 10×
-//!   wall-clock acceptance bound.
+//!   wall-clock acceptance bound. A second table splits the e-graph stage
+//!   into its phases — saturate, extract, score — with the saturation's
+//!   deterministic work count.
 //! * **the `-O2` pass pipeline** — `PassManager::run` wall time per
 //!   circuit, its rounds and fixpoint status, and per pass the edits and
 //!   decision counters (trials, accepted, rejected, blocked, memo hits).
@@ -162,6 +164,14 @@ fn bench_rewrite_engines(circuits: &[&str], scale: Scale, iters: usize) {
 /// 10× wall-clock acceptance bound (at reduced scale the compile stage is
 /// microseconds, so the ratio is dominated by the saturation floor and is
 /// reported without judgment).
+///
+/// The phase table times the stage's steps one by one through the
+/// e-graph's public API (best of `iters` each): *saturate* is
+/// `plim_egraph::seed` plus `saturate` under the effort-scaled budget,
+/// *extract* is `plim_egraph::candidates` (every objective's extraction,
+/// polished and deduplicated), and *score* compiles the baseline and every
+/// candidate at -O2 serially (the stage itself fans the candidates across
+/// the worker pool).
 fn bench_egraph(circuits: &[&str], scale: Scale, iters: usize, effort: usize) {
     use plim_compiler::OptLevel;
     println!(
@@ -174,6 +184,7 @@ fn bench_egraph(circuits: &[&str], scale: Scale, iters: usize, effort: usize) {
     let options = CompilerOptions::new().opt(OptLevel::O2);
     let mut total_arena = Duration::ZERO;
     let mut total_egraph = Duration::ZERO;
+    let mut phases = Vec::new();
     for &name in circuits {
         let mig = build(name, scale).unwrap();
         let arena = rewrite(&mig, effort);
@@ -211,6 +222,13 @@ fn bench_egraph(circuits: &[&str], scale: Scale, iters: usize, effort: usize) {
             stats.iterations,
             stats.stop.name(),
         );
+        let timed = egraph_phases(&mig, &arena, effort, options, iters);
+        assert_eq!(
+            (timed.enodes, timed.candidates),
+            (stats.final_enodes, stats.candidates_scored),
+            "{name}: the timed phases drifted from optimize_with_stats"
+        );
+        phases.push((name, timed));
     }
     let overall = total_egraph.as_secs_f64() / total_arena.as_secs_f64().max(f64::EPSILON);
     println!(
@@ -221,6 +239,72 @@ fn bench_egraph(circuits: &[&str], scale: Scale, iters: usize, effort: usize) {
         println!("WARNING: equality saturation exceeded the 10x wall-clock bound");
     }
     println!();
+
+    println!("── e-graph stage phases (best of {iters}; score compiles serially) ──");
+    println!(
+        "{:<11} {:>11} {:>11} {:>11} {:>10} {:>10}",
+        "circuit", "saturate", "extract", "score", "work", "candidates"
+    );
+    let mut totals = [Duration::ZERO; 3];
+    for (name, timed) in &phases {
+        for (total, time) in totals.iter_mut().zip(timed.times) {
+            *total += time;
+        }
+        let [saturate, extract, score] = timed.times;
+        println!(
+            "{name:<11} {saturate:>11.1?} {extract:>11.1?} {score:>11.1?} {:>10} {:>10}",
+            timed.work, timed.candidates
+        );
+    }
+    let [saturate, extract, score] = totals;
+    println!(
+        "{:<11} {saturate:>11.1?} {extract:>11.1?} {score:>11.1?}",
+        "Σ"
+    );
+    println!();
+}
+
+/// One circuit's e-graph stage, phase by phase (see [`bench_egraph`]).
+struct EgraphPhases {
+    /// Best-of-`iters` wall time of saturate, extract and score.
+    times: [Duration; 3],
+    /// The saturation's deterministic work count.
+    work: u64,
+    /// E-nodes when saturation stopped.
+    enodes: usize,
+    /// Candidates scored besides the baseline.
+    candidates: usize,
+}
+
+fn egraph_phases(
+    raw: &mig::Mig,
+    baseline: &mig::Mig,
+    effort: usize,
+    options: CompilerOptions,
+    iters: usize,
+) -> EgraphPhases {
+    let saturated = || {
+        let mut g = plim_egraph::seed(raw, baseline);
+        let budget = plim_egraph::EgraphBudget::for_effort(effort).scaled_to(g.num_enodes());
+        plim_egraph::saturate(&mut g, &budget);
+        g
+    };
+    let t_saturate = best_of(iters, saturated);
+    let g = saturated();
+    let t_extract = best_of(iters, || plim_egraph::candidates(&g, baseline));
+    let candidates = plim_egraph::candidates(&g, baseline);
+    let t_score = best_of(iters, || {
+        std::iter::once(baseline)
+            .chain(&candidates)
+            .map(|m| compile(m, options).stats.instructions)
+            .sum::<usize>()
+    });
+    EgraphPhases {
+        times: [t_saturate, t_extract, t_score],
+        work: g.work(),
+        enodes: g.num_enodes(),
+        candidates: candidates.len(),
+    }
 }
 
 /// The `-O2` pass pipeline on its own: the wall time of

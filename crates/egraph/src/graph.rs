@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Not;
 
 use mig::{Mig, MigNode};
@@ -80,7 +81,7 @@ impl fmt::Debug for ClassSignal {
 /// representatives, polarity-normalized — whenever the node sits in the
 /// hashcons memo. Nodes listed inside an e-class may go stale after merges;
 /// [`EGraph::canonical_nodes`] re-canonicalizes on read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ENode {
     /// The constant-zero leaf.
     Const,
@@ -88,6 +89,23 @@ pub enum ENode {
     Input(u32),
     /// Majority-of-three over e-class signals.
     Maj([ClassSignal; 3]),
+}
+
+/// One packed write per node — the three children in one `u128`, a leaf
+/// in one `u64` — instead of the derived discriminant-plus-field writes.
+/// The memo hashes a node on every add and every repair, and it stays on
+/// std's keyed `RandomState`: plimd fills it from request bytes, so a
+/// fixed-key hasher would be a hash-flooding path.
+impl Hash for ENode {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            ENode::Const => state.write_u64(u64::MAX),
+            ENode::Input(i) => state.write_u64(u64::from(i)),
+            ENode::Maj([a, b, c]) => {
+                state.write_u128(u128::from(a.0) | u128::from(b.0) << 32 | u128::from(c.0) << 64);
+            }
+        }
+    }
 }
 
 /// Result of canonicalizing a majority triple: either the node collapsed
@@ -124,6 +142,42 @@ struct EClass {
     /// Memoized `Maj` keys that reference this class as a child — the
     /// congruence-repair worklist fodder.
     parents: Vec<ENode>,
+}
+
+/// Every root class's canonical nodes (see [`EGraph::canonical_nodes`]) in
+/// one flat pool: one allocation for the whole graph instead of one per
+/// class. Class `c`'s nodes are `nodes[start[c]..start[c + 1]]`; merged
+/// ids get an empty range.
+#[derive(Debug)]
+pub(crate) struct NodeTable {
+    nodes: Vec<ClassNode>,
+    start: Vec<u32>,
+}
+
+impl NodeTable {
+    /// Number of class ids the table covers.
+    pub(crate) fn num_ids(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Total canonical nodes over every class.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Every class's nodes, concatenated in id order.
+    pub(crate) fn all(&self) -> &[ClassNode] {
+        &self.nodes
+    }
+
+    /// The canonical nodes of `class`, in class order; empty for merged
+    /// ids and for ids outside the table.
+    pub(crate) fn nodes(&self, class: usize) -> &[ClassNode] {
+        match (self.start.get(class), self.start.get(class + 1)) {
+            (Some(&from), Some(&to)) => &self.nodes[from as usize..to as usize],
+            _ => &[],
+        }
+    }
 }
 
 /// The e-graph: union-find + hashcons + congruence worklist.
@@ -360,11 +414,15 @@ impl EGraph {
             Canon::Simplified(s) => s,
             Canon::Node(key, flip) => {
                 let node = ENode::Maj(key);
-                if let Some(&found) = self.memo.get(&node) {
+                let fresh = ClassSignal::new(self.parent.len(), false);
+                // One hash per add: the vacant entry takes the id the new
+                // class is about to get.
+                let found = *self.memo.entry(node).or_insert(fresh);
+                if found != fresh {
                     return self.canonical_mut(found).complement_if(flip);
                 }
                 let sig = self.new_class(node);
-                self.memo.insert(node, sig);
+                debug_assert_eq!(sig, fresh);
                 for child in key {
                     let root = child.class();
                     self.classes[root].parents.push(node);
@@ -413,8 +471,9 @@ impl EGraph {
     }
 
     /// Restores the congruence invariant after a batch of unions: parents
-    /// of merged classes are re-canonicalized and re-memoized, merging any
-    /// classes that collide. Loops until no class is dirty.
+    /// of merged classes whose keys went stale are re-canonicalized and
+    /// re-memoized, merging any classes that collide. Loops until no class
+    /// is dirty.
     pub fn rebuild(&mut self) {
         while !self.dirty.is_empty() {
             let mut todo = std::mem::take(&mut self.dirty);
@@ -438,15 +497,27 @@ impl EGraph {
         let mut kept: Vec<ENode> = Vec::with_capacity(parents.len());
         for node in parents {
             self.work += 1;
+            let ENode::Maj(children) = node else {
+                unreachable!("leaves are never parents")
+            };
+            let canonical = self.canonicalize(children);
+            if canonical == Canon::Node(children, false) {
+                // Still canonical: its memo entry and its children's parent
+                // lists are already right, and re-inserting it would only
+                // write them back unchanged.
+                debug_assert!(
+                    self.memo.contains_key(&node),
+                    "canonical parents stay memoized"
+                );
+                kept.push(node);
+                continue;
+            }
             let Some(old_sig) = self.memo.remove(&node) else {
                 // Already re-canonicalized through another merged child.
                 continue;
             };
             let old_sig = self.canonical_mut(old_sig);
-            let ENode::Maj(children) = node else {
-                unreachable!("leaves are never parents")
-            };
-            match self.canonicalize(children) {
+            match canonical {
                 Canon::Simplified(s) => {
                     // The node collapsed under the new equalities: its
                     // class *is* the simplified signal.
@@ -482,6 +553,32 @@ impl EGraph {
     pub fn canonical_nodes(&self, id: u32) -> Vec<ClassNode> {
         debug_assert_eq!(self.find(id).0, id, "canonical_nodes needs a root");
         let mut out: Vec<ClassNode> = Vec::new();
+        self.push_canonical_nodes(id, &mut out);
+        out
+    }
+
+    /// [`EGraph::canonical_nodes`] of every root class, in id order, as one
+    /// flat [`NodeTable`].
+    pub(crate) fn node_table(&self) -> NodeTable {
+        let n = self.num_ids();
+        let mut table = NodeTable {
+            nodes: Vec::with_capacity(self.memo.len()),
+            start: Vec::with_capacity(n + 1),
+        };
+        table.start.push(0);
+        for id in 0..n as u32 {
+            if self.find(id).0 == id {
+                self.push_canonical_nodes(id, &mut table.nodes);
+            }
+            table.start.push(table.nodes.len() as u32);
+        }
+        table
+    }
+
+    /// Appends the canonical nodes of root class `id` to `out`,
+    /// deduplicated against what this call appended.
+    fn push_canonical_nodes(&self, id: u32, out: &mut Vec<ClassNode>) {
+        let first = out.len();
         for &(node, par) in &self.classes[id as usize].nodes {
             let canon = match node {
                 ENode::Const => ClassNode::Const(par),
@@ -495,11 +592,10 @@ impl EGraph {
                     Canon::Node(key, flip) => ClassNode::Maj(key, par ^ flip),
                 },
             };
-            if !out.contains(&canon) {
+            if !out[first..].contains(&canon) {
                 out.push(canon);
             }
         }
-        out
     }
 
     /// Every value of `s` spelled as a majority triple: for each majority

@@ -41,6 +41,7 @@ pub use extract::{extract, ExtractObjective};
 pub use graph::{Canon, ClassNode, ClassSignal, EGraph, ENode};
 pub use rules::{saturate, EgraphBudget, StopReason};
 
+use extract::Extractor;
 use mig::Mig;
 use plim_compiler::batch::{BenchRun, Circuit, PAPER_EFFORT};
 use plim_compiler::{compile, compile_full, CompilerOptions, OptLevel, RewriteMode};
@@ -114,8 +115,41 @@ fn polish(mig: &Mig) -> Mig {
     twice.cleaned()
 }
 
+/// Loads the e-graph that [`optimize_with_stats`] saturates: `baseline`
+/// (the arena-rewritten graph), plus `raw` (the pre-rewrite input) when it
+/// is small enough to be worth the extra structural seed.
+pub fn seed(raw: &Mig, baseline: &Mig) -> EGraph {
+    let mut g = EGraph::from_mig(baseline);
+    if raw.len() <= RAW_ABSORB_LIMIT {
+        g.absorb_equivalent(raw);
+    }
+    g
+}
+
+/// The distinct candidates [`optimize_with_stats`] scores: one greedy
+/// extraction of the saturated `g` per [`ExtractObjective`], all from one
+/// canonical node table, each polished and dropped when it repeats
+/// `baseline` or an earlier candidate byte for byte.
+pub fn candidates(g: &EGraph, baseline: &Mig) -> Vec<Mig> {
+    let extractor = Extractor::new(g);
+    let mut seen: HashSet<String> = HashSet::new();
+    seen.insert(mig::io::write_mig(baseline));
+    let mut candidates: Vec<Mig> = Vec::new();
+    for objective in ExtractObjective::ALL {
+        if let Some(extracted) = extractor.extract(objective) {
+            let polished = polish(&extracted);
+            if seen.insert(mig::io::write_mig(&polished)) {
+                candidates.push(polished);
+            }
+        }
+    }
+    candidates
+}
+
 /// Equality-saturation optimization of `baseline` (the arena-rewritten
-/// graph), returning the chosen MIG and the run's [`SaturationStats`].
+/// graph), returning the chosen MIG and the run's [`SaturationStats`]:
+/// [`seed`], [`saturate`] under the effort-scaled [`EgraphBudget`],
+/// [`candidates`], then compiled-cost scoring.
 ///
 /// `raw` is the pre-rewrite input graph; small raw graphs are absorbed
 /// into the e-graph as an extra structural seed. `effort` scales the
@@ -130,28 +164,11 @@ pub fn optimize_with_stats(
     effort: usize,
     options: CompilerOptions,
 ) -> (Mig, SaturationStats) {
-    let mut g = EGraph::from_mig(baseline);
-    if raw.len() <= RAW_ABSORB_LIMIT {
-        g.absorb_equivalent(raw);
-    }
+    let mut g = seed(raw, baseline);
     let initial_enodes = g.num_enodes();
     let budget = EgraphBudget::for_effort(effort.max(1)).scaled_to(initial_enodes);
     let (iterations, stop) = saturate(&mut g, &budget);
-
-    // Candidate generation: one greedy extraction per objective, polished
-    // and deduplicated (identical candidates would be scored twice).
-    let baseline_text = mig::io::write_mig(baseline);
-    let mut seen: HashSet<String> = HashSet::new();
-    seen.insert(baseline_text);
-    let mut candidates: Vec<Mig> = Vec::new();
-    for objective in ExtractObjective::ALL {
-        if let Some(extracted) = extract(&g, objective) {
-            let polished = polish(&extracted);
-            if seen.insert(mig::io::write_mig(&polished)) {
-                candidates.push(polished);
-            }
-        }
-    }
+    let mut candidates = candidates(&g, baseline);
 
     // Compiling cost function: score every candidate by replaying it
     // through the full lower → optimize pipeline, fanned out across the

@@ -23,7 +23,7 @@
 //! operations rather than wall-clock time, so budget stops are
 //! reproducible across machines.
 
-use crate::graph::{ClassNode, ClassSignal, EGraph};
+use crate::graph::{ClassNode, ClassSignal, EGraph, NodeTable};
 
 /// Maximum majority spellings considered per child class when matching a
 /// nested rule — bounds the quadratic blowup on classes that accumulate
@@ -133,7 +133,7 @@ pub fn saturate(g: &mut EGraph, budget: &EgraphBudget) -> (usize, StopReason) {
 }
 
 /// One iteration's matching snapshot: every root class's canonical
-/// majority spellings, collected once up front.
+/// spellings, collected once up front into one flat [`NodeTable`].
 ///
 /// Rules probe child classes for their spellings constantly; reading them
 /// through [`EGraph::canonical_nodes`] per probe re-canonicalizes the
@@ -146,49 +146,38 @@ pub fn saturate(g: &mut EGraph, budget: &EgraphBudget) -> (usize, StopReason) {
 /// Rules firing mid-iteration do not see each other's new nodes until the
 /// next iteration — the same staleness egg accepts for the same reason.
 struct Spellings {
-    /// Indexed by snapshot root id: `(canonical key, parity)` per spelling,
-    /// where the class representative is `Maj(key)` complemented by the
-    /// parity. Non-root and leaf-only classes hold an empty list.
-    per_class: Vec<Vec<([ClassSignal; 3], bool)>>,
+    /// Indexed by snapshot class id; merged ids hold an empty range.
+    table: NodeTable,
 }
 
 impl Spellings {
-    fn collect(g: &mut EGraph, snapshot: usize) -> Spellings {
-        let mut per_class: Vec<Vec<([ClassSignal; 3], bool)>> = vec![Vec::new(); snapshot];
-        let mut cost = 0u64;
-        for id in 0..snapshot as u32 {
-            if g.find(id).0 != id {
-                continue;
-            }
-            let nodes = g.canonical_nodes(id);
-            cost += nodes.len() as u64 + 1;
-            per_class[id as usize] = nodes
-                .into_iter()
-                .filter_map(|node| match node {
-                    ClassNode::Maj(key, par) => Some((key, par)),
-                    _ => None,
-                })
-                .collect();
-        }
-        g.charge(cost);
-        Spellings { per_class }
+    /// Snapshots every class id allocated so far, charging one tick per
+    /// spelling plus one per root class.
+    fn collect(g: &mut EGraph) -> Spellings {
+        let table = g.node_table();
+        let cost = table.len() + g.num_classes();
+        g.charge(cost as u64);
+        Spellings { table }
+    }
+
+    /// The majority spellings of class `id` as `(canonical key, parity)`,
+    /// where the class representative is `Maj(key)` complemented by the
+    /// parity.
+    fn of(&self, id: usize) -> impl Iterator<Item = ([ClassSignal; 3], bool)> + '_ {
+        self.table.nodes(id).iter().filter_map(|node| match *node {
+            ClassNode::Maj(key, par) => Some((key, par)),
+            _ => None,
+        })
     }
 
     /// Majority spellings of `s`: up to `limit` triples, each computing
     /// exactly `s` (the class parity is pushed onto the children, as in
     /// [`EGraph::maj_views`]). Classes outside the snapshot have no views.
-    fn views(&self, s: ClassSignal, limit: usize) -> Vec<[ClassSignal; 3]> {
-        let Some(spellings) = self.per_class.get(s.class()) else {
-            return Vec::new();
-        };
-        spellings
-            .iter()
-            .take(limit)
-            .map(|&(key, par)| {
-                let flip = par ^ s.is_complemented();
-                key.map(|c| c.complement_if(flip))
-            })
-            .collect()
+    fn views(&self, s: ClassSignal, limit: usize) -> impl Iterator<Item = [ClassSignal; 3]> + '_ {
+        self.of(s.class()).take(limit).map(move |(key, par)| {
+            let flip = par ^ s.is_complemented();
+            key.map(|c| c.complement_if(flip))
+        })
     }
 }
 
@@ -208,11 +197,9 @@ fn run_rules_once(g: &mut EGraph, budget: &EgraphBudget) -> Option<StopReason> {
     // Snapshot the id range and every class's spellings: nodes created by
     // this very pass are matched in the *next* iteration, keeping each
     // iteration's match set a function of the iteration-start graph.
-    let snapshot = g.num_ids();
-    let spellings = Spellings::collect(g, snapshot);
-    for id in 0..snapshot {
-        for index in 0..spellings.per_class[id].len() {
-            let (key, par) = spellings.per_class[id][index];
+    let spellings = Spellings::collect(g);
+    for id in 0..spellings.table.num_ids() {
+        for (key, par) in spellings.of(id) {
             // The matched node's value, as a signal to union rewrites with.
             let target = ClassSignal::new(id, par);
             if let Some(stop) = over_budget(g, budget) {
@@ -240,9 +227,8 @@ fn others(key: [ClassSignal; 3], skip: usize) -> [ClassSignal; 2] {
 /// with a child of the inner node across a shared `u`.
 fn apply_associativity(g: &mut EGraph, sp: &Spellings, key: [ClassSignal; 3], target: ClassSignal) {
     for inner_pos in 0..3 {
-        let views = sp.views(key[inner_pos], VIEW_LIMIT);
         let outer = others(key, inner_pos);
-        for view in views {
+        for view in sp.views(key[inner_pos], VIEW_LIMIT) {
             g.charge(1);
             for (u_idx, x_idx) in [(0usize, 1usize), (1, 0)] {
                 let (u, x) = (outer[u_idx], outer[x_idx]);
@@ -272,9 +258,8 @@ fn apply_distributivity_lr(
     target: ClassSignal,
 ) {
     for inner_pos in 0..3 {
-        let views = sp.views(key[inner_pos], VIEW_LIMIT);
         let [x, y] = others(key, inner_pos);
-        for view in views {
+        for view in sp.views(key[inner_pos], VIEW_LIMIT) {
             g.charge(1);
             for z_pos in 0..3 {
                 let z = view[z_pos];
@@ -298,17 +283,15 @@ fn apply_distributivity_rl(
 ) {
     for (i, j) in [(0usize, 1usize), (0, 2), (1, 2)] {
         let z_outer = key[3 - i - j];
-        let views_i = sp.views(key[i], VIEW_LIMIT);
-        let views_j = sp.views(key[j], VIEW_LIMIT);
-        for vi in &views_i {
-            for vj in &views_j {
+        for vi in sp.views(key[i], VIEW_LIMIT) {
+            for vj in sp.views(key[j], VIEW_LIMIT) {
                 g.charge(1);
                 for u_pos in 0..3 {
                     let u = vi[u_pos];
-                    let [x, y] = others(*vi, u_pos);
+                    let [x, y] = others(vi, u_pos);
                     // Does {x, y} appear in vj (as a multiset)? The
                     // leftover child is v.
-                    let Some(v) = remove_pair(*vj, x, y) else {
+                    let Some(v) = remove_pair(vj, x, y) else {
                         continue;
                     };
                     let inner = g.add([u, v, z_outer]);
@@ -323,21 +306,18 @@ fn apply_distributivity_rl(
 /// Removes one occurrence each of `x` and `y` from the triple, returning
 /// the remaining child — or `None` if either is missing.
 fn remove_pair(triple: [ClassSignal; 3], x: ClassSignal, y: ClassSignal) -> Option<ClassSignal> {
-    let mut rest: Vec<ClassSignal> = triple.to_vec();
-    let xi = rest.iter().position(|&c| c == x)?;
-    rest.remove(xi);
+    let xi = triple.iter().position(|&c| c == x)?;
+    let rest = others(triple, xi);
     let yi = rest.iter().position(|&c| c == y)?;
-    rest.remove(yi);
-    Some(rest[0])
+    Some(rest[1 - yi])
 }
 
 /// Ω.R (relevance, one level): in `⟨x y z⟩`, occurrences of `x` inside `z`
 /// may be replaced by `ȳ` (if `x` breaks the tie, `x` and `y` disagree).
 fn apply_relevance(g: &mut EGraph, sp: &Spellings, key: [ClassSignal; 3], target: ClassSignal) {
     for z_pos in 0..3 {
-        let views = sp.views(key[z_pos], VIEW_LIMIT);
         let outer = others(key, z_pos);
-        for view in views {
+        for view in sp.views(key[z_pos], VIEW_LIMIT) {
             g.charge(1);
             for (x, y) in [(outer[0], outer[1]), (outer[1], outer[0])] {
                 for m in 0..3 {
