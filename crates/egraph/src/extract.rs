@@ -102,7 +102,7 @@ impl<'g> Extractor<'g> {
     pub(crate) fn new(g: &'g EGraph) -> Extractor<'g> {
         let table = g.node_table();
         let n = table.num_ids();
-        let mut owner = Vec::with_capacity(table.len());
+        let mut owner = Vec::with_capacity(table.all().len());
         for class in 0..n {
             owner.extend(std::iter::repeat_n(class as u32, table.nodes(class).len()));
         }

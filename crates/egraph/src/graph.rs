@@ -160,11 +160,6 @@ impl NodeTable {
         self.start.len() - 1
     }
 
-    /// Total canonical nodes over every class.
-    pub(crate) fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Every class's nodes, concatenated in id order.
     pub(crate) fn all(&self) -> &[ClassNode] {
         &self.nodes

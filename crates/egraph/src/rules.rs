@@ -155,7 +155,7 @@ impl Spellings {
     /// spelling plus one per root class.
     fn collect(g: &mut EGraph) -> Spellings {
         let table = g.node_table();
-        let cost = table.len() + g.num_classes();
+        let cost = table.all().len() + g.num_classes();
         g.charge(cost as u64);
         Spellings { table }
     }

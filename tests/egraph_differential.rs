@@ -21,7 +21,7 @@ use plim_benchmarks::suite::{self, Scale};
 use plim_compiler::verify::verify;
 use plim_compiler::{compile, CompilerOptions, OptLevel};
 use plim_egraph::{
-    extract, optimize, optimize_with_stats, saturate, EGraph, EgraphBudget, ExtractObjective,
+    extract, optimize, optimize_with_stats, saturate, seed, EgraphBudget, ExtractObjective,
     StopReason,
 };
 
@@ -172,11 +172,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The rewrite effort `plimc` defaults to, and the goldens' budget.
 const GOLDEN_EFFORT: usize = 4;
 
-/// Raw graphs up to this many nodes are absorbed next to the arena
-/// baseline before saturation — the seeding rule of `optimize_with_stats`,
-/// mirrored here so saturation and extraction can be pinned on their own.
-const RAW_ABSORB_LIMIT: usize = 3_000;
-
 /// Saturation counters of one run: initial e-nodes, final e-nodes, live
 /// classes, iterations, stop reason, work.
 type Saturation = (usize, usize, usize, usize, &'static str, u64);
@@ -202,10 +197,7 @@ fn golden_inputs(name: &str, scale: Scale) -> (Mig, Mig) {
 /// Seeds and saturates an e-graph exactly as `optimize_with_stats` does,
 /// then extracts one candidate per objective.
 fn saturation_row(name: &'static str, raw: &Mig, baseline: &Mig) -> SaturationRow {
-    let mut g = EGraph::from_mig(baseline);
-    if raw.len() <= RAW_ABSORB_LIMIT {
-        g.absorb_equivalent(raw);
-    }
+    let mut g = seed(raw, baseline);
     let initial = g.num_enodes();
     let budget = EgraphBudget::for_effort(GOLDEN_EFFORT).scaled_to(initial);
     let (iterations, stop) = saturate(&mut g, &budget);
