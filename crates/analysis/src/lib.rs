@@ -1,13 +1,16 @@
 //! # plim-analysis — static analyzer and lint framework for PLiM artifacts
 //!
-//! A standalone verification layer over the compiler's two artifact forms:
+//! The analyses themselves live in [`plim_compiler::ir::analysis`], so the
+//! compiler's own checks and this crate run the same code; this crate
+//! re-exports them and adds the lint policy and reporting around them.
+//! They cover the compiler's two artifact forms:
 //!
 //! * the **IR event stream** ([`plim_compiler::ir::IrProgram`]) — analyzed
-//!   by the core lint engine ([`analyze_events`], re-exported here), one
-//!   linear dataflow pass tracking per-cell abstract state;
+//!   by [`analyze_events`], one linear dataflow pass tracking per-cell
+//!   abstract state;
 //! * the **emitted program** ([`plim_compiler::Rm3Program`]) —
-//!   analyzed by [`analyze_program`], which replays the physical
-//!   instruction sequence against an initialization map;
+//!   analyzed by [`analyze_program`], the one init-discipline dataflow
+//!   (`verify::check_init_discipline` is its first instruction finding);
 //!
 //! plus **resource certification** ([`certify`] / [`cross_check`]): the
 //! event stream is replayed through a fresh allocator — independently of
@@ -18,20 +21,20 @@
 //! benchmarks trust no longer describe the artifact.
 //!
 //! [`analyze_artifact`] bundles all three over a
-//! [`plim_compiler::Compilation`]; `plimc lint` wraps that in
-//! a CLI with per-lint `--deny`/`--allow` ([`LintConfig`]) and text/JSON
+//! [`plim_compiler::Compilation`]. It is the battery behind both the
+//! `lint_clean` benchmark column and `plimc lint`, which wraps it in a CLI
+//! with per-lint `--deny`/`--allow` ([`LintConfig`]) and text/JSON
 //! reports ([`Report`]).
 //!
 //! The [`doctor`] module deliberately corrupts event streams (e.g.
 //! injecting a write-after-release) so CI can prove the analyzer actually
 //! rejects bad artifacts rather than vacuously passing good ones.
 
-use plim::{Operand, OutputLoc};
 use plim_compiler::json::Value as Json;
-use plim_compiler::{Compilation, OptLevel, Rm3Program};
 
 pub use plim_compiler::ir::analysis::{
-    analyze_events, introduces, lint_counts, AnalysisConfig, Diagnostic, Lint, Severity, LINT_COUNT,
+    analyze_artifact, analyze_events, analyze_program, cross_check, introduces, lint_counts,
+    AnalysisConfig, Diagnostic, Lint, Severity, LINT_COUNT,
 };
 
 pub mod doctor;
@@ -43,151 +46,6 @@ pub mod doctor;
 /// [`Rm3Stats`](plim_compiler::Rm3Stats). It returns `None` exactly on the
 /// malformed streams [`analyze_events`] reports structural errors on.
 pub use plim_compiler::ir::{replay as certify, Replay as Certificate};
-
-/// Compares a [`Certificate`] against the emitted artifact, reporting
-/// every disagreement as a `PA0008` diagnostic: `#I`, `#R`, and
-/// `max_cell_writes` versus [`Rm3Stats`](plim_compiler::Rm3Stats),
-/// and the full per-cell wear profile versus
-/// [`Rm3Program::static_write_counts`].
-pub fn cross_check(certificate: &Certificate, compiled: &Rm3Program) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut mismatch = |message: String| {
-        diags.push(Diagnostic {
-            lint: Lint::StatsMismatch,
-            event: None,
-            cell: None,
-            node: None,
-            message,
-        });
-    };
-    let stats = &compiled.stats;
-    if certificate.instructions != stats.instructions {
-        mismatch(format!(
-            "re-derived #I = {} but Rm3Stats records {}",
-            certificate.instructions, stats.instructions
-        ));
-    }
-    if certificate.rams != stats.rams {
-        mismatch(format!(
-            "re-derived #R = {} but Rm3Stats records {}",
-            certificate.rams, stats.rams
-        ));
-    }
-    if certificate.max_cell_writes != stats.max_cell_writes {
-        mismatch(format!(
-            "re-derived max cell writes = {} but Rm3Stats records {}",
-            certificate.max_cell_writes, stats.max_cell_writes
-        ));
-    }
-    let emitted = compiled.static_write_counts();
-    let cells = certificate.write_counts.len().max(emitted.len());
-    for index in 0..cells {
-        let replayed = certificate.write_counts.get(index).copied().unwrap_or(0);
-        let actual = emitted.get(index).copied().unwrap_or(0);
-        if replayed != actual {
-            mismatch(format!(
-                "cell X{}: re-derived wear {replayed} but the program performs {actual} writes",
-                index + 1
-            ));
-        }
-    }
-    diags
-}
-
-/// Analyzes the emitted physical program: a linear pass over the
-/// instruction sequence tracking which cells have been written, reporting
-/// every read of an uninitialized cell as `PA0001` — operand reads,
-/// non-masking destination reads (the old value of `Z` participates in the
-/// majority unless both `A` and `B` are differing constants), and outputs
-/// resident in never-written cells.
-///
-/// This is the reporting generalization of
-/// [`verify::check_init_discipline`](plim_compiler::verify::check_init_discipline):
-/// it collects *all* findings instead of stopping at the first. In the
-/// resulting diagnostics, `event` holds the 0-based instruction index
-/// (`pc`), not an event-stream position.
-pub fn analyze_program(compiled: &Rm3Program) -> Vec<Diagnostic> {
-    let program = &compiled.program;
-    let mut diags = Vec::new();
-    let mut written = vec![false; program.num_rams() as usize];
-    let mut uninit = |pc: Option<usize>, message: String| {
-        diags.push(Diagnostic {
-            lint: Lint::UseBeforeInit,
-            event: pc,
-            cell: None,
-            node: None,
-            message,
-        });
-    };
-    for (pc, instruction) in program.instructions().iter().enumerate() {
-        let masking = matches!(
-            (instruction.a, instruction.b),
-            (Operand::Const(x), Operand::Const(y)) if x != y
-        );
-        for operand in [instruction.a, instruction.b] {
-            if let Operand::Ram(a) = operand {
-                if !written[a.index()] {
-                    uninit(
-                        Some(pc),
-                        format!("pc {}: instruction reads {a} before any write", pc + 1),
-                    );
-                }
-            }
-        }
-        if !masking && !written[instruction.z.index()] {
-            uninit(
-                Some(pc),
-                format!(
-                    "pc {}: non-masking write observes uninitialized destination {}",
-                    pc + 1,
-                    instruction.z
-                ),
-            );
-        }
-        written[instruction.z.index()] = true;
-    }
-    for (name, loc) in program.outputs() {
-        if let OutputLoc::Ram(a) = loc {
-            if !written.get(a.index()).copied().unwrap_or(false) {
-                uninit(
-                    None,
-                    format!("output `{name}` reads never-written cell {a}"),
-                );
-            }
-        }
-    }
-    diags
-}
-
-/// Runs the full analysis battery over one compilation artifact: the
-/// event-stream lints at the check level appropriate for `opt`
-/// ([`AnalysisConfig::for_level`]), the physical-program analysis
-/// ([`analyze_program`]), and resource certification ([`certify`] +
-/// [`cross_check`]).
-///
-/// An empty result is the artifact's clean bill of health — the claim the
-/// `lint_clean` benchmark column and the `plimc lint` exit status stand
-/// on.
-pub fn analyze_artifact(compilation: &Compilation, opt: OptLevel) -> Vec<Diagnostic> {
-    let config = AnalysisConfig::for_level(opt);
-    let mut diags = analyze_events(&compilation.ir, &config);
-    diags.extend(analyze_program(&compilation.compiled));
-    match certify(&compilation.ir) {
-        Some(certificate) => diags.extend(cross_check(&certificate, &compilation.compiled)),
-        // A malformed stream always carries structural errors from
-        // `analyze_events`; the backstop below only guards against the two
-        // analyses ever disagreeing about malformedness.
-        None if diags.is_empty() => diags.push(Diagnostic {
-            lint: Lint::StatsMismatch,
-            event: None,
-            cell: None,
-            node: None,
-            message: "event stream could not be replayed for certification".into(),
-        }),
-        None => {}
-    }
-    diags
-}
 
 /// Per-lint severity policy: `--deny` promotes a lint to [`Severity::Error`],
 /// `--allow` suppresses it entirely. Later settings win over earlier ones

@@ -21,7 +21,7 @@ use plim::wide::{LaneWord, WideMachine, W256};
 use plim::{Machine, Program};
 use plim_bench::{circuits_named, Parallelism};
 use plim_benchmarks::suite::Scale;
-use plim_compiler::verify::{verify_exhaustive, EXHAUSTIVE_WIDE_LIMIT};
+use plim_compiler::verify::{verify_exhaustive, VerifyError, EXHAUSTIVE_WIDE_LIMIT};
 use plim_compiler::{compile, CompilerOptions};
 use plim_scenario::{fault_sweep, simulate_lifetime, FaultModel, FaultScenario, LifetimeScenario};
 
@@ -119,16 +119,19 @@ fn main() {
         let compiled = compile(&circuit.mig, CompilerOptions::new());
         let inputs = circuit.mig.num_inputs();
 
-        let exhaustive = if inputs <= EXHAUSTIVE_WIDE_LIMIT {
-            let clock = Instant::now();
-            verify_exhaustive(&circuit.mig, &compiled).unwrap();
-            let elapsed = clock.elapsed();
-            format!(
-                "proof 2^{inputs} in {elapsed:.1?} ({:.0} pat/s)",
-                per_second(1 << inputs, elapsed)
-            )
-        } else {
-            format!("proof skipped ({inputs} inputs > {EXHAUSTIVE_WIDE_LIMIT})")
+        let clock = Instant::now();
+        let exhaustive = match verify_exhaustive(&circuit.mig, &compiled) {
+            Ok(()) => {
+                let elapsed = clock.elapsed();
+                format!(
+                    "proof 2^{inputs} in {elapsed:.1?} ({:.0} pat/s)",
+                    per_second(1 << inputs, elapsed)
+                )
+            }
+            Err(VerifyError::TooManyInputs { .. }) => {
+                format!("proof skipped ({inputs} inputs > {EXHAUSTIVE_WIDE_LIMIT})")
+            }
+            Err(e) => panic!("{}: {e}", circuit.name),
         };
 
         let scenario = FaultScenario {

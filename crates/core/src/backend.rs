@@ -92,8 +92,11 @@ pub struct InstructionInfo {
 ///
 /// Besides rendering (listing/stats), an artifact must *execute*
 /// bit-parallel — 64 input patterns per step, one lane per bit — so
-/// [`crate::verify::verify_exhaustive_artifact`] can prove it equivalent to
-/// the source MIG without knowing anything about the target's semantics.
+/// [`crate::verify::verify_artifact`] and
+/// [`crate::verify::verify_exhaustive_artifact`] can check it against the
+/// source MIG without knowing anything about the target's semantics. They
+/// reject an executor that returns a different number of output words
+/// than the MIG has outputs.
 pub trait Artifact {
     /// Name of the target that produced this artifact.
     fn target(&self) -> &'static str;
@@ -237,17 +240,9 @@ impl Artifact for Rm3Artifact {
     }
 
     fn run_wide(&self, inputs: &[u64]) -> Result<Vec<u64>, String> {
-        use plim::wide::WideMachine;
-        use plim::RamAddr;
-        let mut machine = WideMachine::<u64>::new();
-        // Poison the work array so a read of a never-written cell cannot
-        // masquerade as a correct zero (same discipline as `verify`).
-        machine.ensure_cells(self.compiled.program.num_rams() as usize);
-        for addr in 0..self.compiled.program.num_rams() {
-            machine.write_cell(RamAddr(addr), 0xAAAA_AAAA_AAAA_AAAA ^ u64::from(addr));
-        }
-        machine
-            .run(&self.compiled.program, inputs)
+        let program = &self.compiled.program;
+        crate::verify::poisoned_machine::<u64>(program)
+            .run(program, inputs)
             .map_err(|e| e.to_string())
     }
 }

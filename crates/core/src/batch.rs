@@ -52,10 +52,10 @@ use mig::Mig;
 use plim_parallel::{par_map, Parallelism};
 
 use crate::benchfile::BenchRecord;
-use crate::ir::analysis::{analyze_events, AnalysisConfig};
+use crate::ir::analysis::analyze_artifact;
 use crate::{
-    compile, compile_full, AllocatorStrategy, Compilation, CompilerOptions, OptLevel, RewriteMode,
-    Rm3Program, ScheduleOrder,
+    compile, compile_full, AllocatorStrategy, CompilerOptions, OptLevel, RewriteMode, Rm3Program,
+    ScheduleOrder,
 };
 
 /// Rewrite effort used throughout the evaluation (the paper fixes 4).
@@ -176,26 +176,11 @@ pub struct JobResult {
     pub ir: crate::ir::IrProgram,
     /// Wall-clock time of the compile call (excluding any shared rewrite).
     pub compile_time: Duration,
-    /// `true` when the static analyzer reported zero diagnostics on the
-    /// artifact, its statically re-derived #I/#R/max-writes match the
-    /// recorded [`crate::Rm3Stats`], and the emitted program obeys the
-    /// machine's initialization discipline.
+    /// `true` when [`analyze_artifact`] reports nothing on the
+    /// compilation at the job's `-O` level: the exact battery behind
+    /// `plimc lint`'s exit status (event-stream lints, the emitted
+    /// program's init discipline, and resource certification).
     pub lint_clean: bool,
-}
-
-/// Whether one compilation's artifacts pass the full static-analysis gate
-/// at the job's optimization level.
-fn job_lint_clean(compilation: &Compilation, opt: OptLevel) -> bool {
-    let config = AnalysisConfig::for_level(opt);
-    if !analyze_events(&compilation.ir, &config).is_empty() {
-        return false;
-    }
-    let stats = &compilation.compiled.stats;
-    crate::ir::replay(&compilation.ir).is_some_and(|replay| {
-        replay.instructions == stats.instructions
-            && replay.rams == stats.rams
-            && replay.max_cell_writes == stats.max_cell_writes
-    }) && crate::verify::check_init_discipline(&compilation.compiled).is_ok()
 }
 
 /// One distinct rewrite pass executed by a batch.
@@ -316,7 +301,7 @@ pub fn run_batch(circuits: &[Circuit], specs: &[JobSpec], parallelism: Paralleli
         let clock = Instant::now();
         let compilation = compile_full(input, spec.options);
         let compile_time = clock.elapsed();
-        let lint_clean = job_lint_clean(&compilation, spec.options.opt);
+        let lint_clean = analyze_artifact(&compilation, spec.options.opt).is_empty();
         JobResult {
             spec: *spec,
             compiled: compilation.compiled,

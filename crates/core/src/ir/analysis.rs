@@ -16,13 +16,23 @@
 //! have few: full-scale `mem_ctrl` at `-O0` visits 851 links in 83,717
 //! events.
 //!
-//! The same state machine backs three consumers:
+//! The module also holds the two checks over the emitted program:
+//! [`analyze_program`], the one init-discipline dataflow over physical
+//! instructions, and [`cross_check`], which compares the allocator
+//! [`replay`] of the stream against the recorded stats.
+//! [`analyze_artifact`] runs all three as one battery.
 //!
-//! * [`passes::PassManager`](super::passes::PassManager) runs it after
-//!   every pass as a translation-validation hook, wholesale-reverting any
-//!   pass run that *introduces* a diagnostic;
-//! * the `plim-analysis` crate re-exports it and layers program-level
-//!   analysis and resource certification on top;
+//! Its consumers:
+//!
+//! * [`passes::PassManager`](super::passes::PassManager) runs
+//!   [`analyze_events`] after every pass as a translation-validation hook,
+//!   wholesale-reverting any pass run that *introduces* a diagnostic;
+//! * [`verify::check_init_discipline`](crate::verify::check_init_discipline)
+//!   is the first instruction finding of [`analyze_program`];
+//! * [`analyze_artifact`] is the `lint_clean` column of
+//!   [`batch`](crate::batch) and the exit status of `plimc lint`;
+//! * the `plim-analysis` crate re-exports all of it and adds lint
+//!   policy, reports, and doctored-artifact helpers;
 //! * `plimc lint` renders the diagnostics as text or JSON.
 //!
 //! The engine is deliberately total: it never panics on malformed streams
@@ -33,11 +43,14 @@
 use std::fmt;
 
 use mig::NodeId;
+use plim::{Operand, OutputLoc};
 
+use crate::compile::Compilation;
 use crate::json::Value as Json;
 use crate::options::OptLevel;
+use crate::program::Rm3Program;
 
-use super::{CellId, Event, IrOutput, IrProgram, Value};
+use super::{replay, CellId, Event, IrOutput, IrProgram, Replay, Value};
 
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,9 +100,8 @@ pub enum Lint {
     /// `PA0007` — a release of a cell whose lifetime never began.
     ReleaseNeverRequested,
     /// `PA0008` — statically re-derived resources (#I, #R, per-cell wear)
-    /// disagree with the recorded `Rm3Stats`; reported by the
-    /// certification layer in `plim-analysis`, never by
-    /// [`analyze_events`].
+    /// disagree with the recorded `Rm3Stats`; reported by
+    /// [`cross_check`], never by [`analyze_events`].
     StatsMismatch,
 }
 
@@ -635,4 +647,147 @@ pub fn lint_counts(diags: &[Diagnostic]) -> [usize; LINT_COUNT] {
 /// pass-pipeline revert criterion.
 pub fn introduces(before: &[usize; LINT_COUNT], after: &[usize; LINT_COUNT]) -> bool {
     before.iter().zip(after.iter()).any(|(b, a)| a > b)
+}
+
+/// Compares an allocator [`Replay`] of the event stream against the
+/// emitted program, reporting every disagreement as a `PA0008`
+/// diagnostic: `#I`, `#R`, and `max_cell_writes` versus
+/// [`Rm3Stats`](crate::Rm3Stats), and the full per-cell wear profile
+/// versus [`Rm3Program::static_write_counts`].
+pub fn cross_check(certificate: &Replay, compiled: &Rm3Program) -> Vec<Diagnostic> {
+    let mut diags = Vec::new();
+    let mut mismatch = |message: String| {
+        diags.push(Diagnostic {
+            lint: Lint::StatsMismatch,
+            event: None,
+            cell: None,
+            node: None,
+            message,
+        });
+    };
+    let stats = &compiled.stats;
+    if certificate.instructions != stats.instructions {
+        mismatch(format!(
+            "re-derived #I = {} but Rm3Stats records {}",
+            certificate.instructions, stats.instructions
+        ));
+    }
+    if certificate.rams != stats.rams {
+        mismatch(format!(
+            "re-derived #R = {} but Rm3Stats records {}",
+            certificate.rams, stats.rams
+        ));
+    }
+    if certificate.max_cell_writes != stats.max_cell_writes {
+        mismatch(format!(
+            "re-derived max cell writes = {} but Rm3Stats records {}",
+            certificate.max_cell_writes, stats.max_cell_writes
+        ));
+    }
+    let emitted = compiled.static_write_counts();
+    let cells = certificate.write_counts.len().max(emitted.len());
+    for index in 0..cells {
+        let replayed = certificate.write_counts.get(index).copied().unwrap_or(0);
+        let actual = emitted.get(index).copied().unwrap_or(0);
+        if replayed != actual {
+            mismatch(format!(
+                "cell X{}: re-derived wear {replayed} but the program performs {actual} writes",
+                index + 1
+            ));
+        }
+    }
+    diags
+}
+
+/// Analyzes the emitted physical program: a linear pass over the
+/// instruction sequence tracking which cells have been written, reporting
+/// every read of an uninitialized cell as `PA0001` — operand reads,
+/// non-masking destination reads (the old value of `Z` participates in the
+/// majority unless both `A` and `B` are differing constants), and outputs
+/// resident in never-written cells.
+///
+/// This is the repository's one init-discipline dataflow; in its
+/// diagnostics, `event` holds the 0-based instruction index (`pc`), not an
+/// event-stream position, and is `None` only for output findings.
+pub fn analyze_program(compiled: &Rm3Program) -> Vec<Diagnostic> {
+    let program = &compiled.program;
+    let mut diags = Vec::new();
+    let mut written = vec![false; program.num_rams() as usize];
+    let mut uninit = |pc: Option<usize>, message: String| {
+        diags.push(Diagnostic {
+            lint: Lint::UseBeforeInit,
+            event: pc,
+            cell: None,
+            node: None,
+            message,
+        });
+    };
+    for (pc, instruction) in program.instructions().iter().enumerate() {
+        let masking = matches!(
+            (instruction.a, instruction.b),
+            (Operand::Const(x), Operand::Const(y)) if x != y
+        );
+        for operand in [instruction.a, instruction.b] {
+            if let Operand::Ram(a) = operand {
+                if !written[a.index()] {
+                    uninit(
+                        Some(pc),
+                        format!("pc {}: instruction reads {a} before any write", pc + 1),
+                    );
+                }
+            }
+        }
+        if !masking && !written[instruction.z.index()] {
+            uninit(
+                Some(pc),
+                format!(
+                    "pc {}: non-masking write observes uninitialized destination {}",
+                    pc + 1,
+                    instruction.z
+                ),
+            );
+        }
+        written[instruction.z.index()] = true;
+    }
+    for (name, loc) in program.outputs() {
+        if let OutputLoc::Ram(a) = loc {
+            if !written.get(a.index()).copied().unwrap_or(false) {
+                uninit(
+                    None,
+                    format!("output `{name}` reads never-written cell {a}"),
+                );
+            }
+        }
+    }
+    diags
+}
+
+/// Runs the full analysis battery over one compilation artifact: the
+/// event-stream lints at the check level appropriate for `opt`
+/// ([`AnalysisConfig::for_level`]), the physical-program analysis
+/// ([`analyze_program`]), and resource certification
+/// ([`replay`] + [`cross_check`]).
+///
+/// An empty result is the artifact's clean bill of health — the claim the
+/// `lint_clean` benchmark column and the `plimc lint` exit status stand
+/// on.
+pub fn analyze_artifact(compilation: &Compilation, opt: OptLevel) -> Vec<Diagnostic> {
+    let config = AnalysisConfig::for_level(opt);
+    let mut diags = analyze_events(&compilation.ir, &config);
+    diags.extend(analyze_program(&compilation.compiled));
+    match replay(&compilation.ir) {
+        Some(certificate) => diags.extend(cross_check(&certificate, &compilation.compiled)),
+        // A malformed stream always carries structural errors from
+        // `analyze_events`; the backstop below only guards against the two
+        // analyses ever disagreeing about malformedness.
+        None if diags.is_empty() => diags.push(Diagnostic {
+            lint: Lint::StatsMismatch,
+            event: None,
+            cell: None,
+            node: None,
+            message: "event stream could not be replayed for certification".into(),
+        }),
+        None => {}
+    }
+    diags
 }

@@ -1,30 +1,48 @@
 //! End-to-end verification of compiled programs.
 //!
-//! A compiled program is correct when executing it on the PLiM machine
-//! reproduces the MIG's Boolean function for every primary output. The
-//! checker is exhaustive for small interfaces and falls back to seeded
-//! random patterns for large ones, mirroring [`mig::equiv`].
+//! A compiled program is correct when executing it reproduces the MIG's
+//! Boolean function for every primary output. Every entry point here is a
+//! few lines over one private kernel, `check`: it generates the input
+//! patterns (all 2ⁿ in order, or seeded random words), runs the executor
+//! one [`LaneWord`] group at a time, simulates the MIG per 64-pattern
+//! block, checks the executor's output count, and reports the first
+//! differing lane as the one [`VerifyError::Mismatch`]. RM3 programs run
+//! on a poisoned bit-parallel [`WideMachine`]; backend artifacts run
+//! through their own 64-lane [`Artifact::run_wide`] executor. RM3 paths
+//! also check the initialization discipline statically first
+//! ([`check_init_discipline`]).
 //!
-//! Both modes execute on the bit-parallel [`WideMachine`] — 256 input
-//! patterns per instruction step — which pushes the practical exhaustive
-//! bound to [`EXHAUSTIVE_WIDE_LIMIT`] inputs (2²⁰ patterns in 4096 wide
-//! runs) via [`verify_exhaustive`].
+//! Two exhaustive limits apply, with different jobs:
+//!
+//! * [`EXHAUSTIVE_LIMIT`] (12) bounds the check run inside every compile
+//!   ([`verify`], [`verify_artifact`]); above it they sample. Raising it
+//!   would put up to 2²⁰-pattern proofs into compile time.
+//! * [`EXHAUSTIVE_WIDE_LIMIT`] (20) bounds explicit proofs
+//!   ([`verify_exhaustive`], [`verify_exhaustive_artifact`]); beyond it
+//!   they refuse with [`VerifyError::TooManyInputs`], which `plimc verify`
+//!   turns into exit code 2.
+//!
+//! [`mig::equiv`]'s own limit of 14 bounds graph-versus-graph checks and
+//! is independent of both.
 
 use std::fmt;
 
 use mig::simulate::{variable_word, XorShift64};
 use mig::Mig;
 use plim::wide::{LaneWord, WideMachine, W256};
-use plim::{MachineError, Operand, RamAddr};
+use plim::{MachineError, Program, RamAddr};
 
+use crate::backend::Artifact;
+use crate::ir::analysis::analyze_program;
 use crate::program::Rm3Program;
 
-/// Number of primary inputs up to which [`verify`] is exhaustive.
+/// Number of primary inputs up to which [`verify`] and [`verify_artifact`]
+/// are exhaustive.
 pub const EXHAUSTIVE_LIMIT: usize = 12;
 
-/// Number of primary inputs up to which [`verify_exhaustive`] accepts a
-/// circuit: 2²⁰ patterns execute as 4096 runs of the 256-wide machine,
-/// comfortably fast even for the larger reduced-suite circuits.
+/// Number of primary inputs up to which [`verify_exhaustive`] and
+/// [`verify_exhaustive_artifact`] accept a circuit: 2²⁰ patterns execute
+/// as 4096 runs of the 256-wide machine.
 pub const EXHAUSTIVE_WIDE_LIMIT: usize = 20;
 
 /// Error raised when a compiled program does not match its source MIG.
@@ -38,6 +56,14 @@ pub enum VerifyError {
         output: String,
         /// The offending input assignment.
         inputs: Vec<bool>,
+    },
+    /// The executor returned a different number of outputs than the MIG
+    /// declares.
+    OutputCountMismatch {
+        /// The MIG's primary-output count.
+        expected: usize,
+        /// The number of output words the executor returned.
+        got: usize,
     },
     /// An instruction reads a work cell that no earlier instruction wrote
     /// and whose result depends on that cell (initialization-discipline
@@ -62,6 +88,9 @@ impl fmt::Display for VerifyError {
             VerifyError::Mismatch { output, inputs } => {
                 let pattern: String = inputs.iter().map(|&b| if b { '1' } else { '0' }).collect();
                 write!(f, "output `{output}` differs on input pattern {pattern}")
+            }
+            VerifyError::OutputCountMismatch { expected, got } => {
+                write!(f, "executor returned {got} outputs; the circuit has {expected}")
             }
             VerifyError::UninitializedRead { pc } => {
                 write!(f, "instruction {} reads an uninitialized cell", pc + 1)
@@ -94,8 +123,11 @@ impl From<MachineError> for VerifyError {
 ///
 /// # Errors
 ///
-/// Returns [`VerifyError::Mismatch`] with a counterexample on failure, or
-/// [`VerifyError::Machine`] if the program is malformed.
+/// Returns [`VerifyError::UninitializedRead`] if the static
+/// initialization check fails, [`VerifyError::Machine`] if the program is
+/// malformed, [`VerifyError::OutputCountMismatch`] if it declares a
+/// different number of outputs than the MIG, or
+/// [`VerifyError::Mismatch`] with a counterexample.
 pub fn verify(
     mig: &Mig,
     compiled: &Rm3Program,
@@ -103,27 +135,11 @@ pub fn verify(
     seed: u64,
 ) -> Result<(), VerifyError> {
     check_init_discipline(compiled)?;
-    let n = mig.num_inputs();
-    if n <= EXHAUSTIVE_LIMIT {
-        return exhaustive_wide::<W256>(mig, compiled);
+    if mig.num_inputs() <= EXHAUSTIVE_LIMIT {
+        check::<W256>(mig, Patterns::Exhaustive, rm3(compiled))
+    } else {
+        check::<u64>(mig, Patterns::Sampled { rounds, seed }, rm3(compiled))
     }
-    let mut machine = poisoned_machine::<u64>(compiled);
-    let mut rng = XorShift64::new(seed);
-    for _ in 0..rounds.max(1) {
-        let input_words: Vec<u64> = (0..n).map(|_| rng.next_word()).collect();
-        let got = machine.run(&compiled.program, &input_words)?;
-        let expected = mig::simulate::simulate(mig, &input_words);
-        for (index, (&e, &g)) in expected.iter().zip(&got).enumerate() {
-            if e != g {
-                let lane = (e ^ g).trailing_zeros() as usize;
-                return Err(VerifyError::Mismatch {
-                    output: mig.outputs()[index].0.clone(),
-                    inputs: input_words.iter().map(|w| w.lane(lane)).collect(),
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Proves the compiled program equal to its source MIG over the **full**
@@ -133,156 +149,68 @@ pub fn verify(
 ///
 /// Returns [`VerifyError::TooManyInputs`] for circuits beyond
 /// [`EXHAUSTIVE_WIDE_LIMIT`] inputs, [`VerifyError::Mismatch`] with the
-/// first counterexample (in pattern order) on failure, or
-/// [`VerifyError::Machine`] / [`VerifyError::UninitializedRead`] if the
-/// program is malformed.
+/// first counterexample (in pattern order) on failure, or one of
+/// [`verify`]'s other errors if the program is malformed.
 pub fn verify_exhaustive(mig: &Mig, compiled: &Rm3Program) -> Result<(), VerifyError> {
-    let n = mig.num_inputs();
-    if n > EXHAUSTIVE_WIDE_LIMIT {
-        return Err(VerifyError::TooManyInputs { inputs: n });
-    }
+    within_wide_limit(mig)?;
     check_init_discipline(compiled)?;
-    exhaustive_wide::<W256>(mig, compiled)
+    check::<W256>(mig, Patterns::Exhaustive, rm3(compiled))
 }
 
-/// Proves a backend [`Artifact`](crate::backend::Artifact) equal to its
-/// source MIG over the **full** input space, through the artifact's own
-/// bit-parallel executor (64 patterns per run).
+/// Proves a backend [`Artifact`] equal to its source MIG over the **full**
+/// input space, through the artifact's own bit-parallel executor (64
+/// patterns per run).
 ///
 /// This is the target-independent sibling of [`verify_exhaustive`]: any
 /// backend that can execute its own instruction set 64 lanes at a time can
 /// be proven equivalent to the source graph with it, regardless of what the
-/// instructions mean physically.
+/// instructions mean physically. Counterexamples are numbered exactly as
+/// [`verify_exhaustive`] numbers them.
 ///
 /// # Errors
 ///
 /// Returns [`VerifyError::TooManyInputs`] for circuits beyond
 /// [`EXHAUSTIVE_WIDE_LIMIT`] inputs, [`VerifyError::Mismatch`] with the
-/// first counterexample (in pattern order) on failure, or
-/// [`VerifyError::Backend`] if the artifact's executor rejects the run.
-pub fn verify_exhaustive_artifact(
-    mig: &Mig,
-    artifact: &dyn crate::backend::Artifact,
-) -> Result<(), VerifyError> {
-    let n = mig.num_inputs();
-    if n > EXHAUSTIVE_WIDE_LIMIT {
-        return Err(VerifyError::TooManyInputs { inputs: n });
-    }
-    let blocks = if n <= 6 { 1 } else { 1usize << (n - 6) };
-    let mut input_words = vec![0u64; n];
-    for block in 0..blocks {
-        for (var, word) in input_words.iter_mut().enumerate() {
-            *word = variable_word(var, block);
-        }
-        let got = artifact
-            .run_wide(&input_words)
-            .map_err(VerifyError::Backend)?;
-        let expected = mig::simulate::simulate(mig, &input_words);
-        for (index, (&e, &g)) in expected.iter().zip(&got).enumerate() {
-            if e != g {
-                let pattern = (block << 6) | (e ^ g).trailing_zeros() as usize;
-                return Err(VerifyError::Mismatch {
-                    output: mig.outputs()[index].0.clone(),
-                    inputs: (0..n).map(|i| pattern >> i & 1 != 0).collect(),
-                });
-            }
-        }
-    }
-    Ok(())
+/// first counterexample (in pattern order) on failure,
+/// [`VerifyError::OutputCountMismatch`] if the executor returns the wrong
+/// number of outputs, or [`VerifyError::Backend`] if it rejects the run.
+pub fn verify_exhaustive_artifact(mig: &Mig, artifact: &dyn Artifact) -> Result<(), VerifyError> {
+    within_wide_limit(mig)?;
+    check(mig, Patterns::Exhaustive, |inputs: &[u64]| {
+        artifact.run_wide(inputs).map_err(VerifyError::Backend)
+    })
 }
 
 /// Verifies a backend artifact against its source MIG the way [`verify`]
 /// checks the RM3 program: exhaustive through the artifact's executor up
 /// to [`EXHAUSTIVE_LIMIT`] inputs, otherwise `rounds × 64` random patterns
-/// seeded by `seed`. This is what target-aware consumers (the pipeline's
-/// `--verify`, the scenario harness) dispatch to for non-RM3 targets.
+/// seeded by `seed`. The pipeline's `--verify` runs it for non-RM3
+/// targets.
 ///
 /// # Errors
 ///
-/// Returns [`VerifyError::Mismatch`] with a counterexample on failure, or
-/// [`VerifyError::Backend`] if the artifact's executor rejects the run.
+/// Returns [`VerifyError::Mismatch`] with a counterexample on failure,
+/// [`VerifyError::OutputCountMismatch`] if the executor returns the wrong
+/// number of outputs, or [`VerifyError::Backend`] if it rejects the run.
 pub fn verify_artifact(
     mig: &Mig,
-    artifact: &dyn crate::backend::Artifact,
+    artifact: &dyn Artifact,
     rounds: usize,
     seed: u64,
 ) -> Result<(), VerifyError> {
-    let n = mig.num_inputs();
-    if n <= EXHAUSTIVE_LIMIT {
-        return verify_exhaustive_artifact(mig, artifact);
-    }
-    let mut rng = XorShift64::new(seed);
-    for _ in 0..rounds.max(1) {
-        let input_words: Vec<u64> = (0..n).map(|_| rng.next_word()).collect();
-        let got = artifact
-            .run_wide(&input_words)
-            .map_err(VerifyError::Backend)?;
-        let expected = mig::simulate::simulate(mig, &input_words);
-        for (index, (&e, &g)) in expected.iter().zip(&got).enumerate() {
-            if e != g {
-                let lane = (e ^ g).trailing_zeros() as usize;
-                return Err(VerifyError::Mismatch {
-                    output: mig.outputs()[index].0.clone(),
-                    inputs: input_words.iter().map(|w| w.lane(lane)).collect(),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// A wide machine whose work array is pre-filled with a nonzero pattern,
-/// so a read of a never-written cell cannot masquerade as a correct zero.
-fn poisoned_machine<W: LaneWord>(compiled: &Rm3Program) -> WideMachine<W> {
-    let mut machine = WideMachine::new();
-    machine.ensure_cells(compiled.program.num_rams() as usize);
-    for addr in 0..compiled.program.num_rams() {
-        machine.write_cell(
-            RamAddr(addr),
-            W::from_blocks(|_| 0xAAAA_AAAA_AAAA_AAAA ^ u64::from(addr)),
-        );
-    }
-    machine
-}
-
-/// Checks every one of the 2ⁿ input patterns, [`LaneWord::LANES`] at a
-/// time, comparing each 64-pattern block against MIG word simulation.
-fn exhaustive_wide<W: LaneWord>(mig: &Mig, compiled: &Rm3Program) -> Result<(), VerifyError> {
-    let n = mig.num_inputs();
-    let u64_blocks = if n <= 6 { 1 } else { 1usize << (n - 6) };
-    let mut machine = poisoned_machine::<W>(compiled);
-    let mut input_words = vec![0u64; n];
-    for group in 0..u64_blocks.div_ceil(W::WORDS) {
-        let wide_inputs: Vec<W> = (0..n)
-            .map(|var| W::from_blocks(|w| variable_word(var, group * W::WORDS + w)))
-            .collect();
-        let got = machine.run(&compiled.program, &wide_inputs)?;
-        for w in 0..W::WORDS.min(u64_blocks - group * W::WORDS) {
-            let block = group * W::WORDS + w;
-            for (var, word) in input_words.iter_mut().enumerate() {
-                *word = variable_word(var, block);
-            }
-            let expected = mig::simulate::simulate(mig, &input_words);
-            for (index, &e) in expected.iter().enumerate() {
-                let g = got[index].block(w);
-                if e != g {
-                    // Global pattern number = 64·block + lane; bit `i` of
-                    // the pattern is the value of input `i` (the row order
-                    // of `mig::simulate::TruthTable`).
-                    let pattern = (block << 6) | (e ^ g).trailing_zeros() as usize;
-                    return Err(VerifyError::Mismatch {
-                        output: mig.outputs()[index].0.clone(),
-                        inputs: (0..n).map(|i| pattern >> i & 1 != 0).collect(),
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
+    let patterns = if mig.num_inputs() <= EXHAUSTIVE_LIMIT {
+        Patterns::Exhaustive
+    } else {
+        Patterns::Sampled { rounds, seed }
+    };
+    check(mig, patterns, |inputs: &[u64]| {
+        artifact.run_wide(inputs).map_err(VerifyError::Backend)
+    })
 }
 
 /// Statically checks that no instruction's result depends on a work cell
-/// that has not been written yet.
+/// that has not been written yet: the first instruction finding of
+/// [`analyze_program`].
 ///
 /// An instruction masks its destination (result independent of the old
 /// value) exactly when its constant operands satisfy `A = ¬B̄`, i.e. the
@@ -293,26 +221,104 @@ fn exhaustive_wide<W: LaneWord>(mig: &Mig, compiled: &Rm3Program) -> Result<(), 
 /// Returns [`VerifyError::UninitializedRead`] at the first offending
 /// instruction.
 pub fn check_init_discipline(compiled: &Rm3Program) -> Result<(), VerifyError> {
-    let mut written = vec![false; compiled.program.num_rams() as usize];
-    for (pc, instruction) in compiled.program.instructions().iter().enumerate() {
-        let masking = matches!(
-            (instruction.a, instruction.b),
-            (Operand::Const(a), Operand::Const(b)) if a != b
-        );
-        // Reading operands from unwritten cells is always a bug.
-        for operand in [instruction.a, instruction.b] {
-            if let Operand::Ram(addr) = operand {
-                if !written[addr.index()] {
-                    return Err(VerifyError::UninitializedRead { pc });
+    match analyze_program(compiled).iter().find_map(|d| d.event) {
+        Some(pc) => Err(VerifyError::UninitializedRead { pc }),
+        None => Ok(()),
+    }
+}
+
+/// Where a [`check`]'s input patterns come from.
+#[derive(Clone, Copy)]
+enum Patterns {
+    /// All 2ⁿ patterns, in order: block `b`, lane `l` is pattern `64·b + l`.
+    Exhaustive,
+    /// `rounds` blocks of 64 random patterns, drawn input by input per
+    /// block from an [`XorShift64`] seeded by `seed`.
+    Sampled { rounds: usize, seed: u64 },
+}
+
+/// The one dynamic check: runs `run` on `patterns`, [`LaneWord::WORDS`]
+/// 64-pattern blocks at a time, and compares every block against MIG word
+/// simulation.
+fn check<W: LaneWord>(
+    mig: &Mig,
+    patterns: Patterns,
+    mut run: impl FnMut(&[W]) -> Result<Vec<W>, VerifyError>,
+) -> Result<(), VerifyError> {
+    let n = mig.num_inputs();
+    let (blocks, mut rng) = match patterns {
+        Patterns::Exhaustive => (1usize << n.saturating_sub(6), None),
+        Patterns::Sampled { rounds, seed } => (rounds.max(1), Some(XorShift64::new(seed))),
+    };
+    // One input word per variable for each block of the current group.
+    let mut block_inputs = vec![vec![0u64; n]; W::WORDS];
+    for first in (0..blocks).step_by(W::WORDS) {
+        let live = W::WORDS.min(blocks - first);
+        for (w, words) in block_inputs[..live].iter_mut().enumerate() {
+            for (var, word) in words.iter_mut().enumerate() {
+                *word = match &mut rng {
+                    Some(rng) => rng.next_word(),
+                    None => variable_word(var, first + w),
+                };
+            }
+        }
+        let inputs: Vec<W> = (0..n)
+            .map(|var| W::from_blocks(|w| block_inputs[w][var]))
+            .collect();
+        let got = run(&inputs)?;
+        if got.len() != mig.num_outputs() {
+            return Err(VerifyError::OutputCountMismatch {
+                expected: mig.num_outputs(),
+                got: got.len(),
+            });
+        }
+        for (w, words) in block_inputs[..live].iter().enumerate() {
+            let expected = mig::simulate::simulate(mig, words);
+            for ((name, _), (&e, g)) in mig.outputs().iter().zip(expected.iter().zip(&got)) {
+                let diff = e ^ g.block(w);
+                if diff != 0 {
+                    // Bit `i` of the pattern is the value of input `i`
+                    // (the row order of `mig::simulate::TruthTable`).
+                    let lane = diff.trailing_zeros() as usize;
+                    return Err(VerifyError::Mismatch {
+                        output: name.clone(),
+                        inputs: words.iter().map(|word| word.lane(lane)).collect(),
+                    });
                 }
             }
         }
-        if !masking && !written[instruction.z.index()] {
-            return Err(VerifyError::UninitializedRead { pc });
-        }
-        written[instruction.z.index()] = true;
     }
     Ok(())
+}
+
+/// Refuses circuits beyond [`EXHAUSTIVE_WIDE_LIMIT`] inputs.
+fn within_wide_limit(mig: &Mig) -> Result<(), VerifyError> {
+    match mig.num_inputs() {
+        inputs if inputs > EXHAUSTIVE_WIDE_LIMIT => Err(VerifyError::TooManyInputs { inputs }),
+        _ => Ok(()),
+    }
+}
+
+/// An RM3 executor for [`check`]: one poisoned machine reused across runs.
+fn rm3<'a, W: LaneWord + 'a>(
+    compiled: &'a Rm3Program,
+) -> impl FnMut(&[W]) -> Result<Vec<W>, VerifyError> + 'a {
+    let mut machine = poisoned_machine::<W>(&compiled.program);
+    move |inputs| Ok(machine.run(&compiled.program, inputs)?)
+}
+
+/// A wide machine whose work array is pre-filled with a nonzero pattern,
+/// so a read of a never-written cell cannot masquerade as a correct zero.
+pub(crate) fn poisoned_machine<W: LaneWord>(program: &Program) -> WideMachine<W> {
+    let mut machine = WideMachine::new();
+    machine.ensure_cells(program.num_rams() as usize);
+    for addr in 0..program.num_rams() {
+        machine.write_cell(
+            RamAddr(addr),
+            W::from_blocks(|_| 0xAAAA_AAAA_AAAA_AAAA ^ u64::from(addr)),
+        );
+    }
+    machine
 }
 
 #[cfg(test)]
@@ -321,7 +327,7 @@ mod tests {
     use crate::compile::compile;
     use crate::options::CompilerOptions;
     use crate::program::Rm3Stats;
-    use plim::{Instruction, Program, RamAddr};
+    use plim::{Instruction, Operand};
 
     #[test]
     fn verify_accepts_correct_compilation() {
@@ -534,6 +540,119 @@ mod tests {
         for opts in [CompilerOptions::new(), CompilerOptions::naive()] {
             let compiled = compile(&mig, opts);
             check_init_discipline(&compiled).unwrap();
+        }
+    }
+
+    /// A copy of `compiled` declaring only its first `keep` outputs, plus
+    /// `extra` more outputs reading input 0.
+    fn with_outputs(compiled: &Rm3Program, keep: usize, extra: usize) -> Rm3Program {
+        let mut program = Program::new(compiled.program.num_inputs());
+        for &i in compiled.program.instructions() {
+            program.push(i);
+        }
+        for (name, loc) in compiled.program.outputs().iter().take(keep) {
+            program.add_output(name, *loc);
+        }
+        for k in 0..extra {
+            let loc = plim::OutputLoc::Input {
+                index: 0,
+                complemented: false,
+            };
+            program.add_output(format!("extra{k}"), loc);
+        }
+        Rm3Program {
+            program,
+            stats: compiled.stats,
+        }
+    }
+
+    /// Every entry point's verdict on `compiled`: the two RM3 paths, then
+    /// the two artifact paths over the same program.
+    fn all_entry_points(mig: &Mig, compiled: &Rm3Program) -> [Result<(), VerifyError>; 4] {
+        let artifact = crate::backend::Rm3Artifact {
+            compiled: compiled.clone(),
+        };
+        [
+            verify(mig, compiled, 4, 1),
+            verify_exhaustive(mig, compiled),
+            verify_artifact(mig, &artifact, 4, 1),
+            verify_exhaustive_artifact(mig, &artifact),
+        ]
+    }
+
+    #[test]
+    fn every_entry_point_rejects_a_different_output_count() {
+        // 14 inputs: above EXHAUSTIVE_LIMIT, so `verify` and
+        // `verify_artifact` sample; 8 inputs: every path is exhaustive.
+        for inputs in [EXHAUSTIVE_LIMIT + 2, 8] {
+            let mut mig = Mig::new();
+            let xs = mig.add_inputs("x", inputs);
+            let mut acc = xs[0];
+            for &x in &xs[1..] {
+                acc = mig.xor(acc, x);
+            }
+            mig.add_output("f", acc);
+            mig.add_output("nf", !acc);
+            let compiled = compile(&mig, CompilerOptions::new());
+            for result in all_entry_points(&mig, &compiled) {
+                result.unwrap();
+            }
+            for (keep, extra) in [(1, 0), (0, 0), (2, 1)] {
+                let doctored = with_outputs(&compiled, keep, extra);
+                for result in all_entry_points(&mig, &doctored) {
+                    assert_eq!(
+                        result,
+                        Err(VerifyError::OutputCountMismatch {
+                            expected: 2,
+                            got: keep + extra,
+                        }),
+                        "{inputs} inputs, {keep} kept, {extra} extra"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counterexamples_are_numbered_alike_at_every_lane_width() {
+        // 10 inputs: 16 blocks of 64 patterns, i.e. 4 groups of the
+        // 256-wide machine but 16 runs of the 64-wide artifact executor.
+        const N: usize = 10;
+        let mut source = Mig::new();
+        let xs = source.add_inputs("x", N);
+        let mut parity = xs[0];
+        for &x in &xs[1..] {
+            parity = source.xor(parity, x);
+        }
+        source.add_output("p", parity);
+        source.add_output("f", parity);
+        let compiled = compile(&source, CompilerOptions::new());
+        let artifact = crate::backend::Rm3Artifact {
+            compiled: compiled.clone(),
+        };
+        // Minterm 869 = 64·13 + 37 lies in the last group, 389 = 64·6 + 5
+        // in a middle one.
+        for minterm in [869usize, 389] {
+            let mut reference = Mig::new();
+            let xs = reference.add_inputs("x", N);
+            let mut parity = xs[0];
+            for &x in &xs[1..] {
+                parity = reference.xor(parity, x);
+            }
+            let literal = |i: usize| if minterm >> i & 1 == 1 { xs[i] } else { !xs[i] };
+            let mut hit = literal(0);
+            for i in 1..N {
+                hit = reference.and(hit, literal(i));
+            }
+            let flipped = reference.xor(parity, hit);
+            reference.add_output("p", parity);
+            reference.add_output("f", flipped);
+            let expected = Err(VerifyError::Mismatch {
+                output: "f".into(),
+                inputs: (0..N).map(|i| minterm >> i & 1 == 1).collect(),
+            });
+            assert_eq!(verify_exhaustive(&reference, &compiled), expected);
+            assert_eq!(verify_exhaustive_artifact(&reference, &artifact), expected);
         }
     }
 }

@@ -12,10 +12,8 @@
 use mig::Mig;
 use plim::MachineError;
 use plim_compiler::batch::{BenchRun, Circuit};
-use plim_compiler::verify::{
-    verify_exhaustive, verify_exhaustive_artifact, VerifyError, EXHAUSTIVE_WIDE_LIMIT,
-};
-use plim_compiler::{Compilation, Rm3Program, Target};
+use plim_compiler::verify::verify_exhaustive;
+use plim_compiler::Rm3Program;
 use plim_parallel::Parallelism;
 
 use crate::fault::{fault_sweep, FaultModel, FaultScenario};
@@ -52,8 +50,8 @@ impl Default for FidelityConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fidelity {
     /// Every opt level proven equal to the source MIG over the full input
-    /// space (`false` when the interface exceeds
-    /// [`EXHAUSTIVE_WIDE_LIMIT`] inputs or any proof fails).
+    /// space (`false` when any proof fails or [`verify_exhaustive`]
+    /// refuses the interface as too wide).
     pub verified_exhaustive: bool,
     /// Pattern error rate of the default program under drifted writes.
     pub fault_error_rate: f64,
@@ -80,10 +78,9 @@ pub fn fidelity_for(
     optimized: &[&Rm3Program],
     config: &FidelityConfig,
 ) -> Result<Fidelity, MachineError> {
-    let verified_exhaustive = mig.num_inputs() <= EXHAUSTIVE_WIDE_LIMIT
-        && std::iter::once(default_program)
-            .chain(optimized.iter().copied())
-            .all(|compiled| verify_exhaustive(mig, compiled).is_ok());
+    let verified_exhaustive = std::iter::once(default_program)
+        .chain(optimized.iter().copied())
+        .all(|compiled| verify_exhaustive(mig, compiled).is_ok());
     let fault = fault_sweep(
         &default_program.program,
         &FaultScenario {
@@ -107,31 +104,6 @@ pub fn fidelity_for(
         fault_error_rate: fault.error_rate(),
         lifetime_invocations: lifetime.invocations,
     })
-}
-
-/// Dispatches the exhaustive equivalence proof to the executor matching
-/// `target`: the RM3 program runs on the bit-parallel PLiM machine
-/// ([`verify_exhaustive`]), every other target's artifact runs through its
-/// backend's own executor ([`verify_exhaustive_artifact`]). This is the
-/// scenario layer's verification-executor dispatch — `plimc verify
-/// --target …` calls it, and so can any harness holding a [`Compilation`].
-///
-/// # Errors
-///
-/// The dispatched checker's error: [`VerifyError::TooManyInputs`] beyond
-/// the exhaustive bound, [`VerifyError::Mismatch`] with a counterexample,
-/// or an executor rejection.
-pub fn verify_exhaustive_for_target(
-    target: Target,
-    mig: &Mig,
-    compilation: &Compilation,
-) -> Result<(), VerifyError> {
-    if target == Target::RM3 {
-        verify_exhaustive(mig, &compilation.compiled)
-    } else {
-        let artifact = target.backend().emit(&compilation.ir);
-        verify_exhaustive_artifact(mig, artifact.as_ref())
-    }
 }
 
 /// Fills the fidelity columns of every record of a [`BenchRun`] from the
@@ -186,6 +158,7 @@ mod tests {
     use super::*;
     use plim_benchmarks::suite::{build, Scale};
     use plim_compiler::batch::bench_suite;
+    use plim_compiler::verify::EXHAUSTIVE_WIDE_LIMIT;
     use plim_compiler::{compile, CompilerOptions};
 
     fn xor_chain(inputs: usize) -> Mig {
@@ -242,20 +215,26 @@ mod tests {
 
     #[test]
     fn target_dispatch_chooses_the_right_executor() {
+        use plim_compiler::verify::{verify_exhaustive_artifact, VerifyError};
+        use plim_compiler::Target;
         plim_backends::install();
         let ambit = Target::parse("ambit").expect("registered");
-        let mig = xor_chain(6);
-        let compilation = plim_compiler::compile_full(&mig, CompilerOptions::new());
-        verify_exhaustive_for_target(Target::RM3, &mig, &compilation).unwrap();
-        verify_exhaustive_for_target(ambit, &mig, &compilation).unwrap();
-        // The dispatch forwards the executor's refusal unchanged.
-        let wide = xor_chain(EXHAUSTIVE_WIDE_LIMIT + 1);
-        let compilation = plim_compiler::compile_full(&wide, CompilerOptions::new());
-        for target in [Target::RM3, ambit] {
-            assert!(matches!(
-                verify_exhaustive_for_target(target, &wide, &compilation),
-                Err(VerifyError::TooManyInputs { .. })
-            ));
+        // RM3 proves on the PLiM machine, every other target through its
+        // artifact's own executor; both refuse the same oversized circuit.
+        for (inputs, provable) in [(6, true), (EXHAUSTIVE_WIDE_LIMIT + 1, false)] {
+            let mig = xor_chain(inputs);
+            let compilation = plim_compiler::compile_full(&mig, CompilerOptions::new());
+            let artifact = ambit.backend().emit(&compilation.ir);
+            for result in [
+                verify_exhaustive(&mig, &compilation.compiled),
+                verify_exhaustive_artifact(&mig, artifact.as_ref()),
+            ] {
+                if provable {
+                    result.unwrap();
+                } else {
+                    assert_eq!(result, Err(VerifyError::TooManyInputs { inputs }));
+                }
+            }
         }
     }
 

@@ -3,12 +3,15 @@
 //! The compiler's claims are functional (the program computes the MIG's
 //! function) and physical (FIFO / wear-aware RRAM allocation spreads
 //! writes). This crate turns both into *measured* results by driving the
-//! bit-parallel [`plim::wide`] executor through three scenario engines:
+//! bit-parallel [`plim::wide`] executor:
 //!
-//! * **Exhaustive equivalence** — [`verify::verify_exhaustive`] proves a
-//!   compiled program equal to its source MIG over the full input space
-//!   for circuits of up to 20 inputs (2²⁰ patterns in 4096 runs of the
-//!   256-wide machine);
+//! * **Exhaustive equivalence** is not reimplemented here: every proof
+//!   goes through [`plim_compiler::verify`] —
+//!   [`verify_exhaustive`](plim_compiler::verify::verify_exhaustive) for
+//!   RM3 programs (up to 20 inputs: 2²⁰ patterns in 4096 runs of the
+//!   256-wide machine) and
+//!   [`verify_exhaustive_artifact`](plim_compiler::verify::verify_exhaustive_artifact)
+//!   for other targets' artifacts;
 //! * **Monte-Carlo fault injection** ([`fault`]) — stuck-at cells and
 //!   probabilistically drifted writes, injected through the executor's
 //!   [`plim::wide::WriteHook`], with a seeded RNG whose per-block streams
@@ -19,11 +22,9 @@
 //!   strategy, reporting the invocation at which the first cell exceeds
 //!   its endurance budget.
 //!
-//! [`fidelity`] packages the three engines into the `BENCH.json` fidelity
-//! columns (`verified_exhaustive`, `fault_error_rate`,
+//! [`fidelity`] packages the proof and both engines into the `BENCH.json`
+//! fidelity columns (`verified_exhaustive`, `fault_error_rate`,
 //! `lifetime_invocations`) that the bench-regression gate enforces.
-//!
-//! [`verify::verify_exhaustive`]: plim_compiler::verify::verify_exhaustive
 
 pub mod fault;
 pub mod fidelity;
@@ -31,8 +32,6 @@ pub mod lifetime;
 pub mod random;
 
 pub use fault::{fault_sweep, sweep_strategies, FaultModel, FaultReport, FaultScenario};
-pub use fidelity::{
-    annotate_bench, fidelity_for, verify_exhaustive_for_target, Fidelity, FidelityConfig,
-};
+pub use fidelity::{annotate_bench, fidelity_for, Fidelity, FidelityConfig};
 pub use lifetime::{compare_strategies, simulate_lifetime, LifetimeReport, LifetimeScenario};
 pub use random::BiasedBits;

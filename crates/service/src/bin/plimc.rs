@@ -120,7 +120,7 @@ use std::process::ExitCode;
 
 use mig::Mig;
 use plim_compiler::{
-    AllocatorStrategy, CompilerOptions, OptLevel, RewriteMode, ScheduleOrder, Target,
+    verify, AllocatorStrategy, CompilerOptions, OptLevel, RewriteMode, ScheduleOrder, Target,
 };
 use plim_service::pipeline::{self, CompileSpec, InputFormat};
 use plim_service::protocol::{CompileRequest, Request, Response};
@@ -325,7 +325,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             )
             .map_err(|e| e.to_string())?;
             if args.verify {
-                plim_compiler::verify::verify(&optimized, &compilation.compiled, 4, 0xDAC2016)
+                verify::verify(&optimized, &compilation.compiled, 4, 0xDAC2016)
                     .map_err(|e| format!("verification: {e}"))?;
             }
             pipeline::Artifacts {
@@ -345,9 +345,8 @@ fn run(argv: &[String]) -> Result<(), String> {
 /// The `plimc verify` subcommand: compiles the input and proves the
 /// program equal to the **raw** source network over the full input space
 /// (so the proof covers rewriting and compilation end to end). The proof
-/// executor follows `--target` through the scenario layer's dispatch: the
-/// RM3 program runs on the bit-parallel PLiM machine, a non-RM3 artifact
-/// through its backend's own executor.
+/// executor follows `--target`: the RM3 program runs on the bit-parallel
+/// PLiM machine, a non-RM3 artifact through its backend's own executor.
 ///
 /// Exit codes: 0 the proof holds, 1 a counterexample or any other error,
 /// 2 the circuit exceeds the exhaustive-proof width limit — a refusal the
@@ -367,14 +366,18 @@ fn run_verify(argv: &[String]) -> Result<(), Failure> {
     let target = spec.options.target;
     let optimized = pipeline::optimize(&input, &spec);
     let compilation = plim_compiler::compile_full(&optimized, spec.options);
-    plim_scenario::verify_exhaustive_for_target(target, &input, &compilation).map_err(|e| {
-        Failure {
-            code: match e {
-                plim_compiler::verify::VerifyError::TooManyInputs { .. } => 2,
-                _ => 1,
-            },
-            message: format!("verification: {e}"),
-        }
+    let proof = if target == Target::RM3 {
+        verify::verify_exhaustive(&input, &compilation.compiled)
+    } else {
+        let artifact = target.backend().emit(&compilation.ir);
+        verify::verify_exhaustive_artifact(&input, artifact.as_ref())
+    };
+    proof.map_err(|e| Failure {
+        code: match e {
+            verify::VerifyError::TooManyInputs { .. } => 2,
+            _ => 1,
+        },
+        message: format!("verification: {e}"),
     })?;
     let inputs = input.num_inputs();
     if target == Target::RM3 {
